@@ -1,15 +1,13 @@
 """``repro.api`` -- the supported programmatic surface for sweeps.
 
-Every paper table and figure is a sweep of independent cells, and the
-repo grew one entry point per flavour (``run_detection_sweep``,
-``run_wild_sweep``, ``simulate_tdiff``, ``run_table1_sweep``), each
-with its own keyword surface.  This module unifies them behind one
+Every paper table and figure is a sweep of independent cells.  This
+module runs every sweep flavour (detection, wild, T_diff) behind one
 request/result pair::
 
     from repro.api import SweepRequest, run_sweep
 
     result = run_sweep(SweepRequest.detection(configs, jobs=4))
-    records = result.results          # same list the legacy call returned
+    records = result.results          # one record per config, in order
     result.hits, result.misses        # cache accounting (0 hits without a store)
 
     result = run_sweep(
@@ -41,9 +39,6 @@ Common options on every request:
   ``SIGTERM`` drain gracefully: in-flight cells finish, checkpoints
   flush, and the partial ``SweepResult`` comes back with
   ``interrupted=True``.
-
-The legacy entry points still work but emit ``DeprecationWarning`` and
-delegate here.
 """
 
 from dataclasses import dataclass, field
@@ -99,10 +94,6 @@ class SweepRequest:
         merge_flows=False,
         fault_profile=None,
         fidelity=None,
-        shaper=None,
-        shaper_params=None,
-        multipath=None,
-        flowlet_gap_s=None,
         jobs=None,
         store=None,
         no_cache=False,
@@ -119,29 +110,12 @@ class SweepRequest:
         objects in config order.  ``fault_profile`` injects per-cell
         failures seeded from each cell's own ``config.seed``.
         ``fidelity`` (``"packet"``/``"hybrid"``), when given, overrides
-        every config's own fidelity field -- the sweep-wide knob behind
-        ``repro sweep --fidelity``.  ``shaper`` / ``shaper_params``
-        likewise override the mechanism axis on every config (the knob
-        behind ``repro sweep --shaper``), and ``multipath`` /
-        ``flowlet_gap_s`` the ECMP axis (``repro sweep --multipath``).
+        every config's own fidelity field.  Every other scenario knob
+        lives on the configs themselves.
         """
         configs = list(configs)
         if fidelity is not None:
             configs = [config.with_(fidelity=fidelity) for config in configs]
-        if shaper is not None:
-            overrides = {"shaper": shaper}
-            if shaper_params is not None:
-                overrides["shaper_params"] = tuple(shaper_params)
-            configs = [config.with_(**overrides) for config in configs]
-        elif shaper_params is not None:
-            raise ValueError("shaper_params requires a shaper")
-        if multipath is not None:
-            overrides = {"multipath": int(multipath)}
-            if flowlet_gap_s is not None:
-                overrides["flowlet_gap_s"] = float(flowlet_gap_s)
-            configs = [config.with_(**overrides) for config in configs]
-        elif flowlet_gap_s is not None:
-            raise ValueError("flowlet_gap_s requires multipath")
         return cls(
             kind="detection",
             params={
@@ -251,8 +225,8 @@ class SweepRequest:
 class SweepResult:
     """What :func:`run_sweep` returns.
 
-    ``results`` has exactly the shape the corresponding legacy entry
-    point returned (records list, summary-dict list, or ndarray).
+    ``results`` is a records list (detection), a summary-dict list
+    (wild) or a float ndarray (tdiff).
     ``hits``/``misses`` count cache activity (``hits == 0`` when no
     store was used); ``metrics`` is a :mod:`repro.obs` snapshot dict
     when the request asked for one, else ``None``.

@@ -32,6 +32,7 @@ from repro.experiments.runner import NetsimReplayService
 from repro.faults import FaultInjector, ReplayAbortedError
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import default_tdiff
+from repro.netsim.topology import FIDELITIES
 from repro.wehe.apps import APP_SPECS, make_trace
 from repro.wehe.traces import bit_invert
 
@@ -54,7 +55,7 @@ def _add_scenario_arguments(parser):
                         help="replay duration in seconds")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--fidelity", default="packet", choices=["packet", "hybrid"],
+        "--fidelity", default="packet", choices=FIDELITIES,
         help="simulation fidelity: 'packet' simulates every background "
              "packet; 'hybrid' uses the calibrated fluid background "
              "model (5-10x faster cells, verdict-equivalent)",
@@ -113,7 +114,7 @@ def _parse_shaper_params(text):
 
 def _scenario_from(args):
     shaper_params = ()
-    if getattr(args, "shaper_params", None):
+    if args.shaper_params:
         shaper_params = _parse_shaper_params(args.shaper_params)
     return ScenarioConfig(
         app=args.app,
@@ -123,10 +124,10 @@ def _scenario_from(args):
         duration=args.duration,
         seed=args.seed,
         fidelity=args.fidelity,
-        shaper=getattr(args, "shaper", None),
+        shaper=args.shaper,
         shaper_params=shaper_params,
-        multipath=getattr(args, "multipath", 0) or 0,
-        flowlet_gap_s=getattr(args, "flowlet_gap", None),
+        multipath=args.multipath,
+        flowlet_gap_s=args.flowlet_gap,
     )
 
 
@@ -422,7 +423,7 @@ def cmd_qdisc(args):
     for name in names:
         spec = qdisc_spec(name)
         fidelities = ",".join(
-            fid for fid in ("packet", "hybrid") if supports_fidelity(name, fid)
+            fid for fid in FIDELITIES if supports_fidelity(name, fid)
         )
         seeded = "yes" if spec.seeded else "no"
         print(f"{name:<12} {fidelities:<14} {seeded:<7} {spec.doc}")
@@ -430,7 +431,7 @@ def cmd_qdisc(args):
         return 0
     failures = 0
     for name in names:
-        for fidelity in ("packet", "hybrid"):
+        for fidelity in FIDELITIES:
             if not supports_fidelity(name, fidelity):
                 continue
             kwargs = (

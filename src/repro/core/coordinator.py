@@ -420,7 +420,7 @@ class WeHeYCoordinator:
         )
         # A 1-member bundle is byte-identical to a plain link, so
         # suspicion heuristics only arm on genuinely multipath devices.
-        multipath_aware = getattr(config, "multipath", 0) >= 2
+        multipath_aware = config.multipath >= 2
 
         def run_localization(replay_ports):
             service = NetsimReplayService(

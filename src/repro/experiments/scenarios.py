@@ -15,6 +15,7 @@ is what the evaluation sweeps) match the paper.
 
 from dataclasses import dataclass, replace
 
+from repro.netsim.topology import validate_device_knobs
 from repro.wehe.apps import APP_SPECS
 
 #: Paper parameter grids (Table 2); bold defaults first.
@@ -81,45 +82,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.app not in APP_SPECS:
             raise ValueError(f"unknown app {self.app!r}")
-        if self.limiter not in (None, "common", "noncommon", "perflow"):
-            raise ValueError(f"unknown limiter placement {self.limiter!r}")
-        if self.fidelity not in ("packet", "hybrid"):
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
+        # The device knobs share their names, and their one validator,
+        # with the topology the runner builds from this config.
+        validate_device_knobs(self)
         if self.input_rate_factor <= 1.0 and self.limiter is not None:
             raise ValueError("input_rate_factor must exceed 1 for throttling to bite")
         if not 0.0 <= self.background_share <= 1.0:
             raise ValueError("background_share must be in [0, 1]")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.shaper_params and self.shaper is None:
-            raise ValueError("shaper_params requires a shaper")
         if self.shaper is not None:
-            if self.limiter is None:
-                raise ValueError("shaper requires a limiter placement")
-            from repro.netsim.qdisc import qdisc_spec
-
-            qdisc_spec(self.shaper)  # raises on unknown mechanisms
             object.__setattr__(
                 self,
                 "shaper_params",
                 tuple(tuple(pair) for pair in self.shaper_params),
             )
-        if self.multipath < 0:
-            raise ValueError("multipath must be non-negative")
-        if self.multipath:
-            if self.fidelity != "packet":
-                raise ValueError("multipath requires fidelity='packet'")
-            if self.flowlet_gap_s is not None and self.flowlet_gap_s <= 0:
-                raise ValueError("flowlet_gap_s must be positive")
-            if self.multipath_shaped is not None and not (
-                1 <= self.multipath_shaped <= self.multipath
-            ):
-                raise ValueError("multipath_shaped must be in [1, multipath]")
-        else:
-            if self.flowlet_gap_s is not None:
-                raise ValueError("flowlet_gap_s requires multipath >= 1")
-            if self.multipath_shaped is not None:
-                raise ValueError("multipath_shaped requires multipath >= 1")
 
     @property
     def protocol(self):

@@ -21,6 +21,7 @@ policer with a third path, their aggregate no longer adds up to X, and
 the algorithm must *not* detect a common bottleneck.
 """
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +160,9 @@ class WildReplayService:
         self.duration = duration
         self.sanity_check = sanity_check
         self.fidelity = fidelity
-        self._seed_seq = np.random.SeedSequence([hash(isp.name) % (2**31), seed])
+        # CRC-32, not hash(): str hashes are salted per process, and a
+        # wild test must replay identically in every process.
+        self._seed_seq = np.random.SeedSequence([zlib.crc32(isp.name.encode()), seed])
         self._trace_rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
         self.modified = True
 
@@ -299,45 +302,3 @@ def run_wild_test(
     from repro.wehe.traces import bit_invert
 
     return localizer.localize(service, original, bit_invert(original))
-
-
-def run_table1_sweep(
-    isp_names=None,
-    apps=("netflix",),
-    seeds=range(3),
-    jobs=None,
-    sanity_check=False,
-    store=None,
-):
-    """The Table-1 grid (ISPs x apps x seeds) on all cores.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.run_sweep` with
-        :meth:`repro.api.SweepRequest.wild` instead (it defaults to the
-        same grid).
-
-    Every cell seeds itself from ``(isp, seed)`` alone, so the sweep is
-    embarrassingly parallel; returns per-cell summary dicts in grid
-    order regardless of ``jobs``.  ``store`` caches and resumes cells
-    exactly as in :func:`repro.api.run_sweep`.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_table1_sweep is deprecated; use "
-        "repro.api.run_sweep(SweepRequest.wild(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.run_sweep(
-        api.SweepRequest.wild(
-            isp_names,
-            apps=apps,
-            seeds=list(seeds),
-            sanity_check=sanity_check,
-            jobs=jobs,
-            store=store,
-        )
-    ).results

@@ -918,36 +918,6 @@ register("dual_tbf", fluid=_build_fluid_dual_tbf_device)
 register("conditional", fluid=_build_fluid_conditional_device)
 
 
-def make_fluid_rate_limiter(
-    rate_bps, rtt_s, queue_factor=0.5, fifo_capacity=500_000
-):
-    """Deprecated alias for ``make_qdisc("tbf", fidelity="hybrid", ...)``."""
-    import warnings
-
-    warnings.warn(
-        "make_fluid_rate_limiter is deprecated; use "
-        "repro.netsim.qdisc.make_qdisc('tbf', fidelity='hybrid', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_fluid_tbf_device(rate_bps, rtt_s, queue_factor, fifo_capacity)
-
-
-def make_fluid_per_flow_limiter(
-    rate_bps, rtt_s, queue_factor=0.5, fifo_capacity=500_000
-):
-    """Deprecated alias for ``make_qdisc("perflow", fidelity="hybrid", ...)``."""
-    import warnings
-
-    warnings.warn(
-        "make_fluid_per_flow_limiter is deprecated; use "
-        "repro.netsim.qdisc.make_qdisc('perflow', fidelity='hybrid', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_fluid_perflow_device(rate_bps, rtt_s, queue_factor, fifo_capacity)
-
-
 # -- fluid background sources ---------------------------------------
 
 

@@ -119,7 +119,7 @@ class MultipathLink:
         if not member_qdiscs:
             raise ValueError("a multipath link needs at least one member")
         if flowlet_gap_s is not None and flowlet_gap_s <= 0:
-            raise ValueError("flowlet_gap_s must be positive")
+            raise ValueError("a multipath link's flowlet gap must be positive")
         self.sim = sim
         self.name = name
         self.bandwidth_bps = bandwidth_bps

@@ -147,14 +147,18 @@ def qdisc_spec(name):
         raise ValueError(f"unknown qdisc {name!r} (known: {known})") from None
 
 
+def _factory(spec, fidelity):
+    """The device factory of ``spec`` at ``fidelity`` (None if absent)."""
+    if fidelity == "packet":
+        return spec.packet
+    if fidelity == "hybrid":
+        return spec.fluid
+    raise ValueError(f"unknown fidelity {fidelity!r}")
+
+
 def supports_fidelity(name, fidelity):
     """True when mechanism ``name`` can be built at ``fidelity``."""
-    spec = qdisc_spec(name)
-    if fidelity == "packet":
-        return spec.packet is not None
-    if fidelity == "hybrid":
-        return spec.fluid is not None
-    raise ValueError(f"unknown fidelity {fidelity!r}")
+    return _factory(qdisc_spec(name), fidelity) is not None
 
 
 def make_qdisc(name, fidelity="packet", **params):
@@ -166,13 +170,7 @@ def make_qdisc(name, fidelity="packet", **params):
     drop processes depend on instantaneous queue state in a way the
     closed-form fluid integration cannot reproduce).
     """
-    spec = qdisc_spec(name)
-    if fidelity == "packet":
-        factory = spec.packet
-    elif fidelity == "hybrid":
-        factory = spec.fluid
-    else:
-        raise ValueError(f"unknown fidelity {fidelity!r}")
+    factory = _factory(qdisc_spec(name), fidelity)
     if factory is None:
         raise QdiscFidelityError(
             f"qdisc {name!r} has no {fidelity} implementation"

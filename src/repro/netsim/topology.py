@@ -23,6 +23,72 @@ from repro.netsim.path import DirectPath, Path
 from repro.netsim.qdisc import make_qdisc, qdisc_spec, supports_fidelity
 
 
+#: Simulation fidelities (see :mod:`repro.netsim.fluid`).
+FIDELITIES = ("packet", "hybrid")
+#: Default one-way propagation delay of the common link ``lc``.
+COMMON_DELAY_S = 0.002
+
+
+def validate_device_knobs(config, common_delay_s=COMMON_DELAY_S):
+    """Reject impossible device-knob combinations; raises ``ValueError``.
+
+    ``config`` is anything carrying the device knobs under their shared
+    names -- ``limiter``, ``fidelity``, ``shaper``, ``shaper_params``,
+    ``multipath``, ``flowlet_gap_s``, ``multipath_shaped``, ``rtt_1``
+    and ``rtt_2`` -- i.e. a :class:`TopologyConfig` or a
+    :class:`~repro.experiments.scenarios.ScenarioConfig`.  Both run this
+    one function, so a scenario that constructs is a scenario the
+    simulator can build.
+    """
+    if config.limiter not in (None, "common", "noncommon", "perflow"):
+        raise ValueError(f"unknown limiter placement {config.limiter!r}")
+    if config.fidelity not in FIDELITIES:
+        raise ValueError(f"unknown fidelity {config.fidelity!r}")
+    for name, rtt in (("rtt_1", config.rtt_1), ("rtt_2", config.rtt_2)):
+        if rtt <= 2 * common_delay_s:
+            raise ValueError(f"{name}={rtt} too small for common delay")
+    if config.shaper is not None:
+        if config.limiter is None:
+            raise ValueError("shaper requires a limiter placement")
+        spec = qdisc_spec(config.shaper)  # raises on unknown mechanisms
+        if config.limiter == "perflow":
+            # Composition check: the per-flow device needs the bare
+            # class-shaper half of the mechanism.
+            if spec.shaper is None:
+                raise ValueError(
+                    f"shaper {config.shaper!r} cannot be used per-flow"
+                )
+            if config.fidelity == "hybrid" and config.shaper != "tbf":
+                raise ValueError(
+                    f"fluid per-flow has no {config.shaper!r} twin"
+                )
+        elif not supports_fidelity(config.shaper, config.fidelity):
+            raise ValueError(
+                f"shaper {config.shaper!r} has no {config.fidelity} "
+                "implementation (AQMs are packet-only)"
+            )
+    elif config.shaper_params:
+        raise ValueError("shaper_params requires a shaper")
+    if config.multipath < 0:
+        raise ValueError("multipath must be non-negative")
+    if config.multipath:
+        if config.fidelity != "packet":
+            # The fluid twins model one queue per link; a bundle's
+            # per-member hashing has no fluid counterpart (yet).
+            raise ValueError("multipath requires fidelity='packet'")
+        if config.flowlet_gap_s is not None and config.flowlet_gap_s <= 0:
+            raise ValueError("flowlet_gap_s must be positive")
+        if config.multipath_shaped is not None and not (
+            1 <= config.multipath_shaped <= config.multipath
+        ):
+            raise ValueError("multipath_shaped must be in [1, multipath]")
+    else:
+        if config.flowlet_gap_s is not None:
+            raise ValueError("flowlet_gap_s requires multipath >= 1")
+        if config.multipath_shaped is not None:
+            raise ValueError("multipath_shaped requires multipath >= 1")
+
+
 @dataclass
 class TopologyConfig:
     """Knobs for a Figure-1 instance (defaults match Table 2's bold values).
@@ -42,7 +108,7 @@ class TopologyConfig:
     """
 
     common_bandwidth_bps: float = 100e6
-    common_delay_s: float = 0.002
+    common_delay_s: float = COMMON_DELAY_S
     noncommon_bandwidth_bps: float = 100e6
     rtt_1: float = 0.035
     rtt_2: float = 0.035
@@ -62,7 +128,7 @@ class TopologyConfig:
     #: single ``lc`` link, N >= 1 builds a :class:`MultipathLink` with
     #: N members (each member keeps the full per-member bandwidth, so
     #: the bundle's aggregate capacity is N x ``common_bandwidth_bps``).
-    multipath_members: int = 0
+    multipath: int = 0
     #: flowlet re-hash gap (seconds); None = sticky ECMP.
     flowlet_gap_s: float = None
     #: how many members carry the limiter (None = all of them); the
@@ -73,56 +139,7 @@ class TopologyConfig:
     multipath_seed: int = 0
 
     def __post_init__(self):
-        if self.limiter not in (None, "common", "noncommon", "perflow"):
-            raise ValueError(f"unknown limiter placement {self.limiter!r}")
-        if self.fidelity not in ("packet", "hybrid"):
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
-        for name in ("rtt_1", "rtt_2"):
-            rtt = getattr(self, name)
-            if rtt <= 2 * self.common_delay_s:
-                raise ValueError(f"{name}={rtt} too small for common delay")
-        if self.shaper is not None:
-            qdisc_spec(self.shaper)  # raises on unknown mechanisms
-            if self.limiter is None:
-                raise ValueError("shaper requires a limiter placement")
-            if self.limiter == "perflow":
-                # Composition check: the per-flow device needs the bare
-                # class-shaper half of the mechanism.
-                if qdisc_spec(self.shaper).shaper is None:
-                    raise ValueError(
-                        f"shaper {self.shaper!r} cannot be used per-flow"
-                    )
-                if self.fidelity == "hybrid" and self.shaper != "tbf":
-                    raise ValueError(
-                        f"fluid per-flow has no {self.shaper!r} twin"
-                    )
-            elif not supports_fidelity(self.shaper, self.fidelity):
-                raise ValueError(
-                    f"shaper {self.shaper!r} has no {self.fidelity} "
-                    "implementation (AQMs are packet-only)"
-                )
-        if self.shaper_params and self.shaper is None:
-            raise ValueError("shaper_params requires a shaper")
-        if self.multipath_members < 0:
-            raise ValueError("multipath_members must be non-negative")
-        if self.multipath_members:
-            if self.fidelity != "packet":
-                # The fluid twins model one queue per link; a bundle's
-                # per-member hashing has no fluid counterpart (yet).
-                raise ValueError("multipath requires fidelity='packet'")
-            if self.multipath_shaped is not None and not (
-                1 <= self.multipath_shaped <= self.multipath_members
-            ):
-                raise ValueError(
-                    "multipath_shaped must be in [1, multipath_members]"
-                )
-        else:
-            if self.flowlet_gap_s is not None:
-                raise ValueError("flowlet_gap_s requires multipath_members >= 1")
-            if self.multipath_shaped is not None:
-                raise ValueError("multipath_shaped requires multipath_members >= 1")
-        if self.flowlet_gap_s is not None and self.flowlet_gap_s <= 0:
-            raise ValueError("flowlet_gap_s must be positive")
+        validate_device_knobs(self, self.common_delay_s)
 
 
 class FigureOneTopology:
@@ -135,7 +152,7 @@ class FigureOneTopology:
         mean_rtt = (config.rtt_1 + config.rtt_2) / 2.0
         self._limiter_index = 0
         self._common_limiter_qdiscs = []
-        if config.multipath_members:
+        if config.multipath:
             # The common device is an ECMP bundle: each member gets its
             # own qdisc instance (distinct derived seeds for randomized
             # mechanisms), and only the seeded ``multipath_shaped``
@@ -148,8 +165,8 @@ class FigureOneTopology:
             # cannot dilute.
             shaped = set(
                 shaped_member_subset(
-                    config.multipath_members,
-                    config.multipath_members
+                    config.multipath,
+                    config.multipath
                     if config.multipath_shaped is None
                     else config.multipath_shaped,
                     config.multipath_seed,
@@ -162,7 +179,7 @@ class FigureOneTopology:
                 self._common_qdisc(mean_rtt, rate_bps=member_rate)
                 if index in shaped
                 else self._make_plain()
-                for index in range(config.multipath_members)
+                for index in range(config.multipath)
             ]
             self.link_c = MultipathLink(
                 sim,

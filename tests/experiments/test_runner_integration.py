@@ -4,15 +4,20 @@ These run full (but short) simulations; they use reduced durations to
 stay fast while still exercising every moving part together.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.loss_correlation import LossTrendCorrelation
 from repro.experiments.metrics import RateCounter, SweepTable
 from repro.experiments.runner import (
     NetsimReplayService,
+    _Environment,
     run_detection_experiment,
 )
 from repro.experiments.scenarios import ScenarioConfig
+from repro.netsim.topology import TopologyConfig
 from repro.wehe.apps import make_trace
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,32 @@ class TestReplayService:
             return service.simultaneous_replay(trace).mean_throughput_1
 
         assert run() == run()
+
+
+    def test_environment_copies_every_shared_knob(self):
+        # A knob defined on both configs must reach the topology under
+        # its own name; one that is not threaded through fails here
+        # instead of silently keeping the topology default.
+        config = ScenarioConfig(
+            app="zoom",
+            rtt_1=0.040,
+            rtt_2=0.050,
+            queue_factor=1.0,
+            duration=4.0,
+            seed=3,
+            shaper="red",
+            shaper_params=(("max_p", 0.2),),
+            multipath=2,
+            flowlet_gap_s=0.01,
+            multipath_shaped=1,
+        )
+        env = _Environment(config, np.random.SeedSequence(0))
+        shared = {f.name for f in dataclasses.fields(TopologyConfig)} & {
+            f.name for f in dataclasses.fields(ScenarioConfig)
+        }
+        assert {"shaper_params", "multipath", "multipath_shaped"} <= shared
+        for name in sorted(shared):
+            assert getattr(env.topology.config, name) == getattr(config, name), name
 
 
 class TestMetrics:

@@ -11,6 +11,7 @@ from repro.experiments.scenarios import (
     ScenarioConfig,
     severity_grid,
 )
+from repro.netsim.topology import TopologyConfig
 
 
 class TestScenarioConfig:
@@ -54,6 +55,26 @@ class TestScenarioConfig:
     def test_rejects_weak_factor_with_limiter(self):
         with pytest.raises(ValueError):
             ScenarioConfig(input_rate_factor=0.9)
+
+    @pytest.mark.parametrize("knobs", [
+        {"shaper": "red", "fidelity": "hybrid"},
+        {"limiter": "perflow", "shaper": "codel", "fidelity": "hybrid"},
+        {"rtt_1": 0.003},
+        {"limiter": None, "shaper": "red"},
+        {"shaper_params": (("max_p", 0.2),)},
+        {"multipath": 2, "fidelity": "hybrid"},
+        {"multipath": 2, "multipath_shaped": 3},
+        {"flowlet_gap_s": 0.01},
+    ])
+    def test_rejects_unbuildable_device_knobs(self, knobs):
+        # Rejected at construction, with the topology's own message:
+        # both configs run the one device-knob validator.
+        with pytest.raises(ValueError) as scenario_error:
+            ScenarioConfig(**knobs)
+        topology_knobs = {"limiter": "common", **knobs}
+        with pytest.raises(ValueError) as topology_error:
+            TopologyConfig(**topology_knobs)
+        assert str(scenario_error.value) == str(topology_error.value)
 
     def test_rtt_sweep_matches_paper(self):
         assert RTT2_SWEEP == (0.010, 0.015, 0.025, 0.035, 0.060, 0.120)

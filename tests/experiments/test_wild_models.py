@@ -1,8 +1,31 @@
 """Wild ISP model-catalogue sanity tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.wild import WILD_ISPS, ZOO_ISPS, isp_model
+
+_PRINT_ENTROPY = (
+    "from repro.experiments.wild import WildReplayService, isp_model\n"
+    "service = WildReplayService(isp_model('ISP1'), 'netflix', seed=7)\n"
+    "print(service._seed_seq.entropy)\n"
+)
+
+
+def _wild_entropy(hash_seed):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    env["PYTHONHASHSEED"] = hash_seed
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_ENTROPY],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return proc.stdout
 
 
 class TestIspCatalogue:
@@ -94,3 +117,10 @@ class TestZooService:
         service.single_replay(bit_invert(trace))
         control = service.last_single_handle.mean_throughput()
         assert original < 0.8 * control
+
+
+class TestWildSeeding:
+    def test_replays_do_not_depend_on_the_string_hash_salt(self):
+        # str hashes are salted per process; a wild test's random
+        # streams must come from (isp, seed) alone.
+        assert _wild_entropy("1") == _wild_entropy("2")

@@ -143,40 +143,3 @@ class TestStandardSizing:
         assert burst == 3000
         assert limit == 1600
 
-
-class TestDeprecatedFactories:
-    """Each legacy factory still works but warns once per call."""
-
-    def test_make_rate_limiter(self):
-        from repro.netsim.token_bucket import make_rate_limiter
-
-        with pytest.warns(DeprecationWarning, match="make_qdisc"):
-            legacy = make_rate_limiter(8e6, 0.035)
-        new = make_qdisc("tbf", rate_bps=8e6, rtt_s=0.035)
-        assert legacy.tbf.burst_bytes == new.tbf.burst_bytes
-
-    def test_make_per_flow_limiter(self):
-        from repro.netsim.per_flow import make_per_flow_limiter
-
-        with pytest.warns(DeprecationWarning, match="make_qdisc"):
-            legacy = make_per_flow_limiter(1e6, 0.03)
-        new = make_qdisc("perflow", rate_bps=1e6, rtt_s=0.03)
-        assert type(legacy) is type(new)
-
-    def test_make_fluid_rate_limiter(self):
-        from repro.netsim.fluid import make_fluid_rate_limiter
-
-        with pytest.warns(DeprecationWarning, match="make_qdisc"):
-            legacy = make_fluid_rate_limiter(8e6, 0.035)
-        new = make_qdisc("tbf", fidelity="hybrid", rate_bps=8e6, rtt_s=0.035)
-        assert type(legacy) is type(new)
-
-    def test_make_fluid_per_flow_limiter(self):
-        from repro.netsim.fluid import make_fluid_per_flow_limiter
-
-        with pytest.warns(DeprecationWarning, match="make_qdisc"):
-            legacy = make_fluid_per_flow_limiter(1e6, 0.03)
-        new = make_qdisc(
-            "perflow", fidelity="hybrid", rate_bps=1e6, rtt_s=0.03
-        )
-        assert type(legacy) is type(new)

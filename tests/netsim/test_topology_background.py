@@ -28,6 +28,19 @@ class TestTopologyConfig:
         with pytest.raises(ValueError):
             TopologyConfig(rtt_1=0.001, common_delay_s=0.002)
 
+    @pytest.mark.parametrize("knobs", [
+        {"limiter": "common", "shaper": "red", "fidelity": "hybrid"},
+        {"limiter": "perflow", "shaper": "codel", "fidelity": "hybrid"},
+        {"rtt_1": 0.003},
+        {"shaper": "red"},
+        {"limiter": "common", "shaper": "wfq"},
+        {"multipath": -1},
+        {"multipath": 2, "flowlet_gap_s": 0.0},
+    ])
+    def test_rejects_unbuildable_device_knobs(self, knobs):
+        with pytest.raises(ValueError):
+            TopologyConfig(**knobs)
+
 
 class TestFigureOneTopology:
     def test_paths_share_only_the_common_link(self):

@@ -55,6 +55,7 @@ class TestParseSubmission:
         ({"knobs": {"limiter": "sideways"}}, "invalid scenario"),
         ({"knobs": {"duration": 1e6}}, "cap"),
         ({"extra_field": 1}, "unknown fields"),
+        ({"knobs": {"rtt_1": 0.003}}, "invalid scenario"),
     ])
     def test_rejections_carry_structured_reasons(self, mutation, fragment):
         with pytest.raises(MalformedSubmission) as excinfo:

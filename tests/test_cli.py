@@ -121,6 +121,25 @@ class TestShaperArguments:
         assert code == 2
         assert "unknown qdisc" in capsys.readouterr().err
 
+    def test_unbuildable_shaper_is_rejected_before_any_cell(
+        self, capsys, monkeypatch
+    ):
+        from repro.parallel import executor
+
+        cells = []
+        monkeypatch.setattr(
+            executor, "run_detection_experiment",
+            lambda config, **kwargs: cells.append(config),
+        )
+        code = main(
+            ["sweep", "--app", "zoom", "--seeds", "2", "--duration", "4",
+             "--jobs", "1", "--shaper", "red", "--fidelity", "hybrid"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert cells == []
+
     def test_sweep_with_shaper_runs(self, capsys):
         code = main(
             ["sweep", "--app", "zoom", "--limiter", "common", "--seeds", "1",
