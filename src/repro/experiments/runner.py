@@ -13,6 +13,7 @@ replay and applies the common-bottleneck detectors directly, which is
 what the paper's FN/FP metrics are defined on.
 """
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.obs import metrics as _obs
 from repro.netsim.topology import FigureOneTopology, TopologyConfig
 from repro.wehe.apps import make_trace
 from repro.wehe.loss_measurement import RetransmissionLossEstimator
-from repro.wehe.replay import attach_replay
+from repro.wehe.replay import AckJitter, attach_replay
 from repro.wehe.traces import poissonize
 
 #: Seconds of background warm-up before replays start.
@@ -79,6 +80,8 @@ class _Environment:
             multipath_seed=config.seed,
         )
         self.topology = FigureOneTopology(self.sim, topo_config)
+        #: Shared by every replay in this environment.
+        self.ack_jitter = AckJitter(self.rngs[5])
         self._attach_background()
 
     def _attach_background(self):
@@ -145,10 +148,6 @@ class _Environment:
             harvest_topology(_obs.SINK, self.topology, elapsed)
             if self.config.fidelity == "hybrid":
                 harvest_fluid(_obs.SINK, self.topology)
-
-    @property
-    def ack_jitter_rng(self):
-        return self.rngs[5]
 
     def loss_estimator(self):
         config = self.config
@@ -234,6 +233,13 @@ class NetsimReplayService:
         self.last_environment = None
 
     def _new_environment(self):
+        # Retire the previous replay's environment.  It is a reference
+        # cycle (sender -> path -> receiver -> reverse path -> sender),
+        # so only the cyclic collector frees it; left to the collector's
+        # own schedule, dead environments pile up and set peak memory.
+        self.last_simultaneous_handles = None
+        self.last_environment = None
+        gc.collect()
         env = _Environment(self.config, self._seed_seq.spawn(1)[0])
         self._register_ports(env)
         if self.path_flap is not None:
@@ -270,7 +276,7 @@ class NetsimReplayService:
             trace,
             start_at=WARMUP,
             duration=self.config.duration,
-            ack_jitter_rng=env.ack_jitter_rng,
+            ack_jitter=env.ack_jitter,
         )
         env.run()
         samples = handle.throughput_samples()
@@ -303,7 +309,7 @@ class NetsimReplayService:
                 start_at=start,
                 duration=self.config.duration,
                 flow_id=merged_id,
-                ack_jitter_rng=env.ack_jitter_rng,
+                ack_jitter=env.ack_jitter,
             )
             if prepared.protocol == "tcp":
                 handle.sender.pacing = pacing

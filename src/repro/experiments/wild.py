@@ -21,6 +21,7 @@ policer with a third path, their aggregate no longer adds up to X, and
 the algorithm must *not* detect a common bottleneck.
 """
 
+import gc
 import zlib
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from repro.obs import harvest_topology
 from repro.obs import metrics as _obs
 from repro.wehe.apps import make_trace
 from repro.wehe.corpus import generate_corpus, tdiff_distribution
-from repro.wehe.replay import attach_replay
+from repro.wehe.replay import AckJitter, attach_replay
 
 
 @dataclass(frozen=True)
@@ -167,11 +168,16 @@ class WildReplayService:
         self.modified = True
 
     def _new_environment(self):
+        # Free the previous replay's environment now, not whenever the
+        # cyclic collector next runs (see NetsimReplayService).
+        self.last_single_handle = None
+        self.last_simultaneous_handles = None
+        gc.collect()
         sim = Simulator()
         children = self._seed_seq.spawn(3)
         rng_bg = np.random.default_rng(children[0])
         rng_trigger = np.random.default_rng(children[1])
-        self._ack_jitter_rng = np.random.default_rng(children[2])
+        self._ack_jitter = AckJitter(np.random.default_rng(children[2]))
         config = TopologyConfig(
             common_bandwidth_bps=100e6,
             rtt_1=self.isp.rtt,
@@ -220,7 +226,7 @@ class WildReplayService:
         trace = _prepare_trace(trace, self._trace_rng, self.modified)
         handle = attach_replay(
             sim, topology, 1, trace, start_at=WARMUP, duration=self.duration,
-            ack_jitter_rng=self._ack_jitter_rng,
+            ack_jitter=self._ack_jitter,
         )
         elapsed = WARMUP + self.duration + DRAIN
         sim.run(until=elapsed)
@@ -239,7 +245,7 @@ class WildReplayService:
                 attach_replay(
                     sim, topology, which, prepared,
                     start_at=start, duration=self.duration,
-                    ack_jitter_rng=self._ack_jitter_rng,
+                    ack_jitter=self._ack_jitter,
                 )
             )
         if self.sanity_check and trace.is_original:
@@ -247,7 +253,7 @@ class WildReplayService:
             attach_replay(
                 sim, topology, 3, third,
                 start_at=WARMUP + 2 * offset, duration=self.duration,
-                ack_jitter_rng=self._ack_jitter_rng,
+                ack_jitter=self._ack_jitter,
             )
         elapsed = WARMUP + self.duration + DRAIN
         sim.run(until=elapsed)

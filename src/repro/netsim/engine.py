@@ -16,6 +16,12 @@ Scheduling is split into two tiers so the hot path stays allocation-free:
   :meth:`Simulator.schedule_at_cancellable` allocate a real handle and
   return it.  Only timer-like callers (TCP RTO/pacing timers, link
   wake-ups) use these.
+
+A timer that keeps moving later -- the TCP retransmission timer is
+re-armed by every advancing ACK -- postpones its handle instead of
+cancelling it and pushing a new entry: :meth:`EventHandle.postpone`
+only moves ``handle.due``, and when the entry pops before its due time
+the loop re-queues it without running or counting it.
 """
 
 import heapq
@@ -26,15 +32,18 @@ from repro.obs import metrics as _obs
 # non-loop call sites in the engine, and LOAD_GLOBAL(heapq) +
 # LOAD_ATTR(heappush) per event is measurable at millions of events.
 _heappush = heapq.heappush
+_INF = float("inf")
 
 
 class EventHandle:
     """Handle returned by the ``*_cancellable`` scheduling methods."""
 
-    __slots__ = ("cancelled", "_sim")
+    __slots__ = ("cancelled", "due", "_sim")
 
-    def __init__(self, sim):
+    def __init__(self, sim, due):
         self.cancelled = False
+        #: Simulated time the callback runs at; see :meth:`postpone`.
+        self.due = due
         self._sim = sim
 
     def cancel(self):
@@ -42,6 +51,18 @@ class EventHandle:
         if not self.cancelled:
             self.cancelled = True
             self._sim._n_cancelled += 1
+
+    def postpone(self, when):
+        """Run the event at ``when`` instead, without a new heap entry.
+
+        ``when`` may not precede the current due time: the heap entry
+        stays where it is, and the loop re-queues it at ``due`` when it
+        pops early.  To move an event earlier, cancel it and schedule
+        a new one.
+        """
+        if when < self.due:
+            raise ValueError(f"cannot postpone to {when}; event is due at {self.due}")
+        self.due = when
 
 
 class Simulator:
@@ -58,6 +79,8 @@ class Simulator:
         "_running",
         "_n_cancelled",
         "events_processed",
+        # Lets tests check that a retired environment was freed.
+        "__weakref__",
     )
 
     def __init__(self):
@@ -115,7 +138,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {when}; current time is {self._now}"
             )
-        handle = EventHandle(self)
+        handle = EventHandle(self, when)
         seq = self._counter
         self._counter = seq + 1
         _heappush(self._heap, (when, seq, handle, callback, args))
@@ -131,17 +154,26 @@ class Simulator:
         self._running = True
         heap = self._heap
         pop = heapq.heappop
+        limit = _INF if until is None else until
         executed = 0
         while heap and self._running:
-            entry = heap[0]
+            # Pop first: only the one entry past ``limit`` goes back.
+            entry = pop(heap)
             when = entry[0]
-            if until is not None and when > until:
+            if when > limit:
+                _heappush(heap, entry)
                 break
-            pop(heap)
             handle = entry[2]
-            if handle is not None and handle.cancelled:
-                self._n_cancelled -= 1
-                continue
+            if handle is not None:
+                if handle.cancelled:
+                    self._n_cancelled -= 1
+                    continue
+                if handle.due > when:
+                    # Postponed: not an event yet, so not counted.
+                    seq = self._counter
+                    self._counter = seq + 1
+                    _heappush(heap, (handle.due, seq, handle, entry[3], entry[4]))
+                    continue
             self._now = when
             entry[3](*entry[4])
             executed += 1

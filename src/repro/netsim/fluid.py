@@ -228,7 +228,9 @@ class FluidDropTailQueue(DropTailQueue):
     # -- queue interface ---------------------------------------------
 
     def enqueue(self, packet, now):
-        self._advance(now)
+        # _advance is a no-op at an unchanged clock; skip the call.
+        if now != self._last_fluid:
+            self._advance(now)
         if self._bytes + self._v + packet.size > self.capacity_bytes:
             self.drops += 1
             self.drops_bytes += packet.size
@@ -246,7 +248,8 @@ class FluidDropTailQueue(DropTailQueue):
         return True
 
     def dequeue(self, now):
-        self._advance(now)
+        if now != self._last_fluid:
+            self._advance(now)
         if not self._queue:
             return None, None
         ahead = self._marks[0] - (self._bg_pos - self._v)
@@ -938,10 +941,10 @@ class _FluidSource:
         self._hops = [(link.qdisc, link.bandwidth_bps) for link in links]
         self.bytes_offered = 0.0
         self._offer_rate_Bps = 0.0
-        self._offer_mark = sim.now
+        self._offer_mark = sim._now
 
     def _push(self, marked_bps, unmarked_bps, n_flows=1):
-        now = self.sim.now
+        now = self.sim._now
         self.bytes_offered += self._offer_rate_Bps * (now - self._offer_mark)
         self._offer_mark = now
         self._offer_rate_Bps = (marked_bps + unmarked_bps) / 8.0
@@ -957,7 +960,7 @@ class _FluidSource:
             _obs.SINK.inc("netsim.fluid.rate_segments")
 
     def _stopped(self):
-        return self.stop_at is not None and self.sim.now >= self.stop_at
+        return self.stop_at is not None and self.sim._now >= self.stop_at
 
 
 class FluidPoissonBackground(_FluidSource):

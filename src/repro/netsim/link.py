@@ -7,6 +7,8 @@ whatever the packet's path says comes next.  A link with a
 rate-limiting device.
 """
 
+from heapq import heappush as _heappush
+
 from repro.netsim.queues import DropTailQueue
 
 
@@ -72,15 +74,22 @@ class Link:
                 self._schedule_wake(wake)
             return
         self._busy = True
-        tx_time = packet.size * 8.0 / self.bandwidth_bps
-        sim.schedule(tx_time, self._transmit_done, packet)
+        # Inlined Simulator.schedule (same ``when`` arithmetic): two
+        # events per packet per hop make this the hottest push site.
+        seq = sim._counter
+        sim._counter = seq + 1
+        _heappush(
+            sim._heap,
+            (sim._now + packet.size * 8.0 / self.bandwidth_bps, seq, None,
+             self._transmit_done, (packet,)),
+        )
 
     def _schedule_wake(self, wake):
         # Keep at most one pending wake-up; earlier ones win.
         if self._wake_handle is not None and not self._wake_handle.cancelled:
             return
         self._wake_handle = self.sim.schedule_at_cancellable(
-            max(wake, self.sim.now), self._on_wake
+            max(wake, self.sim._now), self._on_wake
         )
 
     def _on_wake(self):
@@ -91,7 +100,13 @@ class Link:
         self._busy = False
         self.bytes_sent += packet.size
         self.packets_sent += 1
-        self.sim.schedule(self.delay_s, packet.path.advance, packet)
+        sim = self.sim
+        seq = sim._counter
+        sim._counter = seq + 1
+        _heappush(
+            sim._heap,
+            (sim._now + self.delay_s, seq, None, packet.path.advance, (packet,)),
+        )
         self._try_transmit()
 
     def utilization(self, elapsed):

@@ -61,7 +61,7 @@ class TcpReceiver:
             self._out_of_order.add(packet.seq)
         if self.capture is not None:
             self.capture.on_arrival(
-                self.sim.now, packet.size - HEADER_BYTES, marked=packet.ecn != 0
+                self.sim._now, packet.size - HEADER_BYTES, marked=packet.ecn != 0
             )
         ack = Packet(
             self.flow_id,
@@ -184,9 +184,7 @@ class TcpSender:
     def stop(self):
         """Stop transmitting; in-flight packets still drain."""
         self._stopped = True
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
+        self._disarm_rto()
         if self._pace_handle is not None:
             self._pace_handle.cancel()
             self._pace_handle = None
@@ -203,7 +201,7 @@ class TcpSender:
         if self.total_bytes is not None and self.snd_nxt >= self.total_bytes:
             return False
         if self.app_source is not None:
-            if self.snd_nxt + MSS > self.app_source.available_bytes(self.sim.now):
+            if self.snd_nxt + MSS > self.app_source.available_bytes(self.sim._now):
                 self._wait_for_app()
                 return False
         return True
@@ -212,11 +210,11 @@ class TcpSender:
         """Re-enter the send loop when the application writes more data."""
         if self._app_wait_handle is not None and not self._app_wait_handle.cancelled:
             return
-        release = self.app_source.next_release_after(self.sim.now)
+        release = self.app_source.next_release_after(self.sim._now)
         if release is None:
             return
         self._app_wait_handle = self.sim.schedule_at_cancellable(
-            max(release, self.sim.now + 1e-6), self._on_app_data
+            max(release, self.sim._now + 1e-6), self._on_app_data
         )
 
     def _on_app_data(self):
@@ -253,7 +251,7 @@ class TcpSender:
             return
         gap = self._pacing_interval()
         due = self._last_send_time + gap
-        if due > self.sim.now:
+        if due > self.sim._now:
             self._pace_handle = self.sim.schedule_at_cancellable(due, self._send_loop)
             return
         self._send_one()
@@ -276,7 +274,7 @@ class TcpSender:
             reason = "rto-gb" if self.snd_nxt < self._highest_sent else None
             self._transmit(self.snd_nxt, reason=reason)
             self.snd_nxt += MSS
-        self._last_send_time = self.sim.now
+        self._last_send_time = self.sim._now
 
     def _queue_retransmit(self, seq, reason):
         """Queue a retransmission, at most once per re-arm period.
@@ -287,9 +285,9 @@ class TcpSender:
         """
         last = self._retransmitted.get(seq)
         rearm = max(self.rto, MIN_RTO)
-        if last is not None and self.sim.now - last < rearm:
+        if last is not None and self.sim._now - last < rearm:
             return False
-        self._retransmitted[seq] = self.sim.now
+        self._retransmitted[seq] = self.sim._now
         self._retx_queue.append((seq, reason))
         return True
 
@@ -301,18 +299,18 @@ class TcpSender:
             seq,
             SEGMENT_WIRE_BYTES,
             dscp=self.dscp,
-            sent_at=self.sim.now,
+            sent_at=self.sim._now,
             is_retx=is_retx,
         )
         if is_retx:
             # Loss events are registered when the retransmission leaves
             # the server -- this is what a capture-based estimator sees.
-            self.retx_log.append((self.sim.now, seq, reason or "retx"))
+            self.retx_log.append((self.sim._now, seq, reason or "retx"))
             if _obs.ENABLED:
                 _obs.SINK.inc("netsim.tcp.retransmits")
                 _obs.SINK.inc(f"netsim.tcp.retransmits.{reason or 'retx'}")
         self._highest_sent = max(self._highest_sent, seq + MSS)
-        self.send_times.append(self.sim.now)
+        self.send_times.append(self.sim._now)
         self.packets_sent += 1
         self.path.inject(packet)
         self._arm_rto()
@@ -329,12 +327,31 @@ class TcpSender:
     # -- RTO ---------------------------------------------------------
 
     def _arm_rto(self, force=False):
-        if self._rto_handle is not None and not self._rto_handle.cancelled:
-            if not force:
+        """Arm the RTO; ``force`` restarts an armed one from now.
+
+        A restart that moves the deadline later only postpones the
+        pending handle, so an ACK stream leaves one live heap entry
+        per sender instead of one cancelled entry per ACK.  The timer
+        fires at exactly the last-armed ``now + min(rto * backoff,
+        MAX_RTO)``.
+        """
+        handle = self._rto_handle
+        armed = handle is not None and not handle.cancelled
+        if armed and not force:
+            return
+        sim = self.sim
+        deadline = sim._now + min(self.rto * self._rto_backoff, MAX_RTO)
+        if armed:
+            if deadline >= handle.due:
+                handle.postpone(deadline)
                 return
+            handle.cancel()
+        self._rto_handle = sim.schedule_at_cancellable(deadline, self._on_rto)
+
+    def _disarm_rto(self):
+        if self._rto_handle is not None:
             self._rto_handle.cancel()
-        timeout = min(self.rto * self._rto_backoff, MAX_RTO)
-        self._rto_handle = self.sim.schedule_cancellable(timeout, self._on_rto)
+            self._rto_handle = None
 
     def _on_rto(self):
         self._rto_handle = None
@@ -378,7 +395,7 @@ class TcpSender:
             self.dup_acks = 0
             self._rto_backoff = 1
             if not packet.is_retx:
-                self._rtt_sample(self.sim.now - packet.sent_at)
+                self._rtt_sample(self.sim._now - packet.sent_at)
             if self.in_recovery:
                 if ack >= self.recover:
                     self.in_recovery = False
@@ -395,9 +412,8 @@ class TcpSender:
                 self._grow_cwnd(newly_acked)
             if self.snd_una < self.snd_nxt:
                 self._arm_rto(force=True)
-            elif self._rto_handle is not None:
-                self._rto_handle.cancel()
-                self._rto_handle = None
+            else:
+                self._disarm_rto()
             self._kick_sending()
         elif ack == self.snd_una and self.snd_una < self.snd_nxt:
             self.dup_acks += 1
@@ -443,7 +459,7 @@ class TcpSender:
         while hole < top:
             if hole not in blocks:
                 last = self._retransmitted.get(hole)
-                if last is None or self.sim.now - last >= rearm:
+                if last is None or self.sim._now - last >= rearm:
                     self._queue_retransmit(hole, "sack")
                     return
             hole += MSS
@@ -461,7 +477,7 @@ class TcpSender:
         self.cwnd = max(self.cwnd * beta, 2.0)
         self.ssthresh = self.cwnd
         if self.cc == "cubic":
-            self._epoch_start = self.sim.now
+            self._epoch_start = self.sim._now
             self._cubic_k = ((self._w_max * (1.0 - CUBIC_BETA)) / CUBIC_C) ** (1.0 / 3.0)
         if _obs.ENABLED:
             _obs.SINK.inc("netsim.tcp.ecn_backoffs")
@@ -474,7 +490,7 @@ class TcpSender:
         self.cwnd = max(self.cwnd * beta, 2.0)
         self.ssthresh = self.cwnd
         if self.cc == "cubic":
-            self._epoch_start = self.sim.now
+            self._epoch_start = self.sim._now
             self._cubic_k = ((self._w_max * (1.0 - CUBIC_BETA)) / CUBIC_C) ** (1.0 / 3.0)
         self._retransmitted.clear()
         self._queue_retransmit(self.snd_una, "fast")
@@ -491,12 +507,12 @@ class TcpSender:
             return
         # Cubic congestion avoidance.
         if self._epoch_start is None:
-            self._epoch_start = self.sim.now
+            self._epoch_start = self.sim._now
             self._w_max = max(self._w_max, self.cwnd)
             self._cubic_k = (
                 max(self._w_max - self.cwnd, 0.0) / CUBIC_C
             ) ** (1.0 / 3.0)
-        t = self.sim.now - self._epoch_start
+        t = self.sim._now - self._epoch_start
         target = CUBIC_C * (t - self._cubic_k) ** 3 + self._w_max
         if target > self.cwnd:
             self.cwnd = min(
@@ -511,7 +527,7 @@ class TcpSender:
     def _rtt_sample(self, rtt):
         if rtt <= 0:
             return
-        self.rtt_samples.append((self.sim.now, rtt))
+        self.rtt_samples.append((self.sim._now, rtt))
         if self.min_rtt is None or rtt < self.min_rtt:
             self.min_rtt = rtt
         if self.srtt is None:

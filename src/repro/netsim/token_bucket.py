@@ -170,8 +170,9 @@ class DualClassQdisc(Qdisc):
             self._serve_tbf_next = second is self.fifo
             return packet2, None
         # Neither class is ready: report the earliest wake-up, if any.
-        wakes = [w for w in (wake, wake2) if w is not None]
-        return None, (min(wakes) if wakes else None)
+        if wake is None or (wake2 is not None and wake2 < wake):
+            return None, wake2
+        return None, wake
 
 
 def _dscp_classifier(packet):

@@ -36,12 +36,12 @@ class UdpReceiver:
             return
         payload = packet.size - UDP_HEADER_BYTES
         self.received_seqs.add(packet.seq)
-        self.arrivals.append((self.sim.now, packet.seq, payload))
+        self.arrivals.append((self.sim._now, packet.seq, payload))
         self.bytes_received += payload
         if packet.ecn:
             self.ecn_marks += 1
         if self.capture is not None:
-            self.capture.on_arrival(self.sim.now, payload, marked=packet.ecn != 0)
+            self.capture.on_arrival(self.sim._now, payload, marked=packet.ecn != 0)
 
     def loss_events(self, schedule, base_delay):
         """Reconstruct client-side loss events.
@@ -81,10 +81,10 @@ class UdpSender:
             seq,
             wire_size,
             dscp=self.dscp,
-            sent_at=self.sim.now,
+            sent_at=self.sim._now,
         )
         self.packets_sent += 1
-        self.send_times.append(self.sim.now)
+        self.send_times.append(self.sim._now)
         self.path.inject(packet)
 
 

@@ -16,6 +16,9 @@ algorithms consume -- built from server-side retransmissions for TCP
 and client-side sequence gaps for UDP, exactly as in Section 3.4.
 """
 
+from array import array
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.netsim.capture import FlowCapture, PathMeasurements
@@ -38,22 +41,60 @@ class TraceAppSource:
     def __init__(self, trace, start_at=0.0):
         times = np.asarray([t for t, _ in trace.schedule], dtype=float) + start_at
         sizes = np.asarray([s for _, s in trace.schedule], dtype=float)
-        self._times = times
-        self._cumulative = np.cumsum(sizes)
+        # The sender asks once per send attempt, so lookups must not
+        # pay for numpy scalars: the same float64 values live in compact
+        # arrays (a list of floats would cost ~4x the memory) searched
+        # with bisect.
+        self._times = array("d", times)
+        self._cumulative = array("d", np.cumsum(sizes))
 
     def available_bytes(self, now):
         """Payload bytes the application has written by time ``now``."""
-        index = int(np.searchsorted(self._times, now, side="right"))
+        index = bisect_right(self._times, now)
         if index == 0:
             return 0.0
-        return float(self._cumulative[index - 1])
+        return self._cumulative[index - 1]
 
     def next_release_after(self, now):
         """Next time the application writes more data, or None."""
-        index = int(np.searchsorted(self._times, now, side="right"))
+        index = bisect_right(self._times, now)
         if index >= len(self._times):
             return None
-        return float(self._times[index])
+        return self._times[index]
+
+
+class AckJitter:
+    """Reverse-path ACK delay jitter, uniform on [0, 3 ms).
+
+    Reverse-path delay jitter (a couple of ms, as on any real WAN)
+    keeps deterministically paced flows from phase-locking against each
+    other at a shared queue -- a simulator artifact that does not exist
+    in the paper's testbed.
+
+    Values are drawn from ``rng`` in blocks, which yields the same
+    numbers as one scalar ``rng.uniform`` per ACK without a numpy call
+    per ACK.  Every replay of one environment must share one instance,
+    so the draws keep their ACK order across replays, and nothing else
+    may draw from ``rng``: a block runs ahead of the ACKs.
+    """
+
+    __slots__ = ("_rng", "_block")
+
+    HIGH_S = 0.003
+    BLOCK = 4096
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._block = []
+
+    def draw(self):
+        """The next jitter value in seconds."""
+        block = self._block
+        if not block:
+            block = self._rng.uniform(0.0, self.HIGH_S, size=self.BLOCK).tolist()
+            block.reverse()  # pop() from the end yields draw order
+            self._block = block
+        return block.pop()
 
 
 class ReplayHandle:
@@ -124,7 +165,7 @@ def attach_replay(
     duration=None,
     dscp=None,
     flow_id=None,
-    ack_jitter_rng=None,
+    ack_jitter=None,
 ):
     """Wire a replay of ``trace`` from server ``which`` onto the topology.
 
@@ -132,6 +173,8 @@ def attach_replay(
     matches the intact SNI) and 0 for bit-inverted ones -- the netsim
     encoding of the paper's content-triggered classification.
     ``duration`` defaults to the extended-trace duration (>= 45 s).
+    ``ack_jitter`` is the environment's :class:`AckJitter` (None: TCP
+    ACKs return after the bare reverse-path delay).
     """
     if dscp is None:
         dscp = 1 if trace.is_original else 0
@@ -149,14 +192,7 @@ def attach_replay(
             replay_trace = extend_to_duration(trace, duration)
         receiver = TcpReceiver(sim, flow_id, capture)
         path = topology.forward_path(which, receiver)
-        # Reverse-path delay jitter (a couple of ms, as on any real WAN)
-        # keeps deterministically paced flows from phase-locking against
-        # each other at a shared queue -- a simulator artifact that does
-        # not exist in the paper's testbed.
-        jitter = None
-        if ack_jitter_rng is not None:
-            def jitter():
-                return float(ack_jitter_rng.uniform(0.0, 0.003))
+        jitter = None if ack_jitter is None else ack_jitter.draw
         reverse = topology.reverse_path(which, None, jitter=jitter)
         sender = TcpSender(
             sim,

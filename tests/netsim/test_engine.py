@@ -113,6 +113,43 @@ class TestCancellation:
         assert seen == [1]
 
 
+class TestPostpone:
+    def test_postponed_event_runs_once_at_its_new_time(self):
+        sim = Simulator()
+        seen = []
+        handle = sim.schedule_cancellable(1.0, lambda: seen.append(sim.now))
+        handle.postpone(2.5)
+        sim.run()
+        assert seen == [2.5]
+        # Re-queueing at the old due time is not an event.
+        assert sim.events_processed == 1
+
+    def test_run_until_between_old_and_new_due_time(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_cancellable(1.0, lambda: seen.append(sim.now)).postpone(3.0)
+        sim.run(until=2.0)
+        assert seen == [] and sim.now == 2.0 and sim.pending() == 1
+        sim.run()
+        assert seen == [3.0]
+
+    def test_postponing_earlier_is_rejected(self):
+        sim = Simulator()
+        handle = sim.schedule_cancellable(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            handle.postpone(0.5)
+
+    def test_cancel_after_postpone(self):
+        sim = Simulator()
+        seen = []
+        handle = sim.schedule_cancellable(1.0, seen.append, "x")
+        handle.postpone(2.0)
+        sim.run(until=1.5)
+        handle.cancel()
+        sim.run()
+        assert seen == [] and sim.pending() == 0
+
+
 class TestDeterminism:
     def test_same_schedule_same_trace(self):
         def run_once():

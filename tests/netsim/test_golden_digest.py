@@ -1,0 +1,142 @@
+"""Golden digests: the byte-level output of pinned cells, across commits.
+
+``test_determinism`` compares two runs of the same code.  This file pins
+the SHA-256 of each cell's raw outputs -- throughput samples, send and
+loss time streams, the minimum RTT and the canonical record line -- so a
+change to the simulator that moves any of them by one bit fails here,
+even when it is deterministic.
+
+numpy promises no stable Generator streams across versions, so the
+digests hold only for the numpy ``major.minor`` they were made with;
+on any other the tests skip.  To re-pin after an intended behaviour
+change, print ``cell_digest(...)`` for each cell and paste the values.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.experiments import runner
+from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.wild import WildReplayService, isp_model
+from repro.store.serialize import record_line
+from repro.wehe.apps import make_trace
+
+#: numpy ``major.minor`` the digests below were generated with.
+GOLDEN_NUMPY = "2.4"
+DURATION = 5.0
+SEED = 0
+
+pytestmark = pytest.mark.skipif(
+    ".".join(np.__version__.split(".")[:2]) != GOLDEN_NUMPY,
+    reason=(
+        f"golden digests were made with numpy {GOLDEN_NUMPY}; Generator "
+        f"streams are not promised stable across numpy versions "
+        f"(running {np.__version__})"
+    ),
+)
+
+
+def _floats(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _fold(sha, result):
+    for samples in (result.samples_1, result.samples_2):
+        sha.update(_floats(samples))
+    for m in (result.measurements_1, result.measurements_2):
+        sha.update(_floats(m.send_times))
+        sha.update(_floats(m.loss_times))
+        sha.update(repr(float(m.rtt)).encode())
+
+
+def cell_digest(app, limiter, fidelity, shaper=None):
+    """SHA-256 of one 5 s detection cell's replay outputs and record."""
+    config = ScenarioConfig(
+        app=app,
+        limiter=limiter,
+        duration=DURATION,
+        seed=SEED,
+        fidelity=fidelity,
+        shaper=shaper,
+    )
+    captured = []
+    replay = runner.NetsimReplayService.simultaneous_replay
+
+    def capture(service, trace):
+        result = replay(service, trace)
+        captured.append(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner.NetsimReplayService, "simultaneous_replay", capture)
+        record = runner.run_detection_experiment(config)
+    (result,) = captured
+    sha = hashlib.sha256()
+    _fold(sha, result)
+    sha.update(record_line(record).encode())
+    return sha.hexdigest()
+
+
+def wild_digest(isp_name, app, fidelity):
+    """SHA-256 of one 5 s wild-ISP single plus simultaneous replay."""
+    service = WildReplayService(
+        isp_model(isp_name), app, seed=SEED, duration=DURATION, fidelity=fidelity
+    )
+    trace = make_trace(app, DURATION, service._trace_rng)
+    sha = hashlib.sha256()
+    sha.update(_floats(service.single_replay(trace)))
+    _fold(sha, service.simultaneous_replay(trace))
+    return sha.hexdigest()
+
+
+GOLDEN_CELLS = {
+    ("zoom", "common", "packet", None): (
+        "0dd68e99cb12c5f6a242c1ddaa64804d95635aaf5f3e2863b43c82751e3f0856"
+    ),
+    ("zoom", "noncommon", "packet", None): (
+        "3f90c3dca29a351192e8667b8f952714e60dd30afb82855fd6fff0557903e4af"
+    ),
+    ("netflix", "common", "packet", None): (
+        "ef2f573fdc3817be5af1e622cdb580df1c0c678fce3397bcee0b15dc5793eb3e"
+    ),
+    ("netflix", "noncommon", "packet", None): (
+        "e65e63459c7981d124bdf4579abc9c283b70b15447edc3853ba34f130bb20b65"
+    ),
+    ("zoom", "common", "hybrid", None): (
+        "ae56dac92a2c5ec7b286518ba944cae1379aea2ccaf977a1ab5d8adab532fa39"
+    ),
+    ("zoom", "noncommon", "hybrid", None): (
+        "3f3522e5f935adf47b93ec20aaf89d3f43af0d08aca880edcf4305037275f19e"
+    ),
+    ("netflix", "common", "hybrid", None): (
+        "54cd43af81971595d95ae1ad255b2315aad13f9c7c34e6f3b6be0f1805726006"
+    ),
+    ("netflix", "noncommon", "hybrid", None): (
+        "072a9b301269098c546873f6793b9a51668af423e168149f0f8172bea2b6b404"
+    ),
+    ("netflix", "common", "packet", "codel"): (
+        "1c3750005b535bf8579d2f32f48b471624a5967ef4a7f9402458952a83dbf1a3"
+    ),
+}
+
+GOLDEN_WILD = {
+    ("ISP1", "netflix", "hybrid"): (
+        "beab2991a85850e09ae0e29c8ea99b6cab4e573849f6edb9c8a34761343f0dec"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cell", list(GOLDEN_CELLS), ids=lambda c: "-".join(str(p) for p in c if p)
+)
+def test_detection_cell_digest(cell):
+    assert cell_digest(*cell) == GOLDEN_CELLS[cell]
+
+
+@pytest.mark.parametrize(
+    "cell", list(GOLDEN_WILD), ids=lambda c: "-".join(c)
+)
+def test_wild_cell_digest(cell):
+    assert wild_digest(*cell) == GOLDEN_WILD[cell]

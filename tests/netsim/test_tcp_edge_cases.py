@@ -6,7 +6,7 @@ from repro.netsim.link import Link
 from repro.netsim.packet import ACK, DATA, Packet
 from repro.netsim.path import DirectPath, Path
 from repro.netsim.queues import DropTailQueue
-from repro.netsim.tcp import MSS, TcpReceiver, TcpSender
+from repro.netsim.tcp import MAX_RTO, MSS, TcpReceiver, TcpSender
 
 def build(bandwidth=10e6, qdisc=None, stop_at=8.0, **kwargs):
     sim = Simulator()
@@ -133,3 +133,76 @@ class TestSenderLifecycle:
     def test_queuing_delay_zero_without_samples(self):
         sim, sender, _, _ = build(stop_at=0.001)
         assert sender.mean_queuing_delay() == 0.0
+
+
+class TestLazyRto:
+    """Re-arming postpones one heap entry; firing times stay exact."""
+
+    @staticmethod
+    def idle_sender():
+        # A sender that never starts: the test drives its RTO alone and
+        # records when the timer fires.
+        sim, sender, _, _ = build(stop_at=None, start_at=100.0)
+        fired = []
+        sender._on_rto = lambda: fired.append(sim.now)
+        return sim, sender, fired
+
+    def test_fires_at_the_last_armed_deadline(self):
+        sim, sender, fired = self.idle_sender()
+        sim.schedule_at(0.0, sender._arm_rto)
+        sim.schedule_at(0.3, sender._arm_rto, True)
+        sim.schedule_at(0.7, sender._arm_rto, True)
+        sim.run(until=5.0)
+        assert fired == [0.7 + min(sender.rto, MAX_RTO)]
+
+    def test_unforced_arm_keeps_the_pending_deadline(self):
+        sim, sender, fired = self.idle_sender()
+        sim.schedule_at(0.0, sender._arm_rto)
+        sim.schedule_at(0.4, sender._arm_rto)
+        sim.run(until=5.0)
+        assert fired == [sender.rto]
+
+    def test_stop_disarms(self):
+        sim, sender, fired = self.idle_sender()
+        sim.schedule_at(0.0, sender._arm_rto)
+        sim.schedule_at(0.2, sender._arm_rto, True)
+        sim.schedule_at(0.5, sender.stop)
+        sim.run(until=5.0)
+        assert fired == []
+
+    def test_disarm_then_rearm_earlier_fires_at_the_earlier_time(self):
+        sim, sender, fired = self.idle_sender()
+        sim.schedule_at(0.0, sender._arm_rto)  # due at 1.0
+        sim.schedule_at(0.3, sender._disarm_rto)
+
+        def rearm_with_shorter_rto():
+            sender.rto = 0.2
+            sender._arm_rto()
+
+        sim.schedule_at(0.4, rearm_with_shorter_rto)
+        sim.run(until=5.0)
+        assert fired == [0.4 + 0.2]
+
+    def test_forced_rearm_to_an_earlier_deadline(self):
+        sim, sender, fired = self.idle_sender()
+        sim.schedule_at(0.0, sender._arm_rto)  # due at 1.0
+
+        def rearm_with_shorter_rto():
+            sender.rto = 0.2
+            sender._arm_rto(force=True)
+
+        sim.schedule_at(0.5, rearm_with_shorter_rto)
+        sim.run(until=5.0)
+        assert fired == [0.5 + 0.2]
+
+    def test_ack_stream_leaves_one_rto_heap_entry(self):
+        sim, sender, _, _ = build(stop_at=None)
+        sim.run(until=3.0)
+        assert sender.snd_una > 500 * MSS  # hundreds of advancing ACKs
+        entries = [e for e in sim._heap if e[3] == sender._on_rto]
+        live = [e for e in entries if not e[2].cancelled]
+        assert len(live) == 1
+        assert live[0][2] is sender._rto_handle
+        # Cancelled entries remain only where a shrinking RTO moved the
+        # deadline earlier; one new entry per ACK left ~140 here.
+        assert len(entries) < 16

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import FigureOneTopology, TopologyConfig
 from repro.wehe.apps import make_trace
-from repro.wehe.replay import TraceAppSource, attach_replay
-from repro.wehe.traces import bit_invert
+from repro.wehe.replay import AckJitter, TraceAppSource, attach_replay
+from repro.wehe.traces import Trace, bit_invert
 
 
 @pytest.fixture
@@ -42,6 +44,57 @@ class TestTraceAppSource:
         source = TraceAppSource(trace)
         values = [source.available_bytes(t) for t in np.linspace(0, 6, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def _searchsorted_reference(schedule, start_at, now):
+    """The numpy formulation TraceAppSource must agree with."""
+    times = np.asarray([t for t, _ in schedule], dtype=float) + start_at
+    cumulative = np.cumsum(np.asarray([s for _, s in schedule], dtype=float))
+    index = int(np.searchsorted(times, now, side="right"))
+    available = 0.0 if index == 0 else float(cumulative[index - 1])
+    release = None if index >= len(times) else float(times[index])
+    return available, release
+
+
+# Times from a coarse grid, so schedules repeat timestamps and queries
+# land exactly on release times.
+_grid_times = st.integers(min_value=0, max_value=40).map(lambda k: k * 0.025)
+
+
+class TestTraceAppSourceEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(_grid_times, min_size=1, max_size=30),
+        sizes=st.lists(st.integers(min_value=1, max_value=9000), min_size=30, max_size=30),
+        start_at=st.sampled_from([0.0, 0.1, 1.0, 1.0 / 3.0]),
+        probes=st.lists(
+            st.floats(min_value=-1.0, max_value=3.0, allow_nan=False), max_size=10
+        ),
+    )
+    def test_matches_searchsorted_right(self, times, sizes, start_at, probes):
+        schedule = tuple(zip(sorted(times), sizes))
+        source = TraceAppSource(Trace("netflix", "tcp", schedule), start_at)
+        releases = [t + start_at for t, _ in schedule]
+        for now in releases + [start_at, *probes]:
+            available, release = _searchsorted_reference(schedule, start_at, now)
+            assert source.available_bytes(now) == available
+            assert source.next_release_after(now) == release
+            assert type(source.available_bytes(now)) is float
+
+
+class TestAckJitter:
+    def test_shared_block_draws_equal_interleaved_scalar_draws(self):
+        jitter = AckJitter(np.random.default_rng(11))
+        reference = np.random.default_rng(11)
+        # Two replays draw from the environment's one object in ACK
+        # order; the pattern crosses several block refills.
+        replay_1, replay_2 = jitter.draw, jitter.draw
+        order = np.random.default_rng(5).integers(0, 2, size=3 * AckJitter.BLOCK + 7)
+        drawn = [(replay_1 if k == 0 else replay_2)() for k in order]
+        expected = [
+            float(reference.uniform(0.0, AckJitter.HIGH_S)) for _ in order
+        ]
+        assert drawn == expected
 
 
 class TestAttachReplay:
