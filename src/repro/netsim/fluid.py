@@ -13,7 +13,13 @@ rate-change ticks per second.
 
 Only foreground replay packets (and their ACKs) remain exact DES
 events.  Background load shows up as a **virtual load term** inside the
-queueing disciplines:
+queueing disciplines.  Each fluid queue is a subclass of its packet
+mechanism that overrides only the load integration (``_advance``) and
+the ``enqueue``/``dequeue`` decisions it feeds; constructor checks,
+statistics, trigger and peak-bucket rules, and device sizing are
+inherited.  :class:`FluidLoad` holds the virtual-load bookkeeping
+(per-source rates, the virtual backlog, the conservation snapshot) that
+every twin shares:
 
 - :class:`FluidDropTailQueue` -- a drop-tail FIFO whose serialization
   capacity is shared with a fluid background aggregate.  Virtual
@@ -26,10 +32,16 @@ queueing disciplines:
   continuously depleted by the marked (dscp=1) fluid share.  Token
   depletion, virtual queue occupancy and the head-of-line wake time are
   computed from the fluid rate between foreground events instead of
-  from simulated background packets.
+  from simulated background packets.  The two-rate and conditional
+  twins extend it with the rule mixins of :mod:`repro.netsim.shapers`.
 - :class:`FluidDualClassQdisc` / :class:`FluidPerFlowQdisc` -- the
-  classful devices of Appendix C.1 and Section 7 assembled from the two
-  fluid parts.
+  classful devices of Appendix C.1 and Section 7, whose ``DEVICE`` and
+  ``FIFO`` hooks swap in the fluid parts.  The registry builds each
+  class-shaper device with the packet mechanism's own builder, bound to
+  the fluid shaper class.
+
+With no fluid source pushing a rate, every twin makes the same
+decisions as its packet device (``tests/netsim/test_fluid_twins.py``).
 
 Fluid state advances lazily: every foreground interaction and every
 source rate-change tick calls ``_advance(now)``, which integrates the
@@ -59,6 +71,7 @@ for every fluid queue, and ``tests/netsim/test_fluid.py`` plus the
 
 import math
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -67,9 +80,20 @@ from repro.netsim.background import (
     PACKET_SIZE_MIX,
     _Ar1Component,
 )
-from repro.netsim.qdisc import Qdisc, register, standard_sizing
+from repro.netsim.per_flow import PerFlowQdisc
+from repro.netsim.qdisc import register, standard_sizing
 from repro.netsim.queues import DropTailQueue
-from repro.netsim.token_bucket import DualClassQdisc, _dscp_classifier
+from repro.netsim.shapers import (
+    PeakBucketRules,
+    TriggerRules,
+    _build_conditional_device,
+    _build_dual_tbf_device,
+)
+from repro.netsim.token_bucket import (
+    DualClassQdisc,
+    TokenBucketFilter,
+    _build_tbf_device,
+)
 from repro.obs import metrics as _obs
 
 #: Wire bytes per payload byte for background TCP (MSS 1448 + 52 header).
@@ -91,67 +115,52 @@ _EPS_BYTES = 1e-6
 _WAKE_GUARD = 1e-9
 
 
-class FluidDropTailQueue(DropTailQueue):
-    """A drop-tail FIFO sharing its serialization capacity with fluid.
+#: Per-instance state of the virtual background load.  Every fluid
+#: queue declares these slots itself: :class:`FluidLoad` must keep an
+#: empty ``__slots__`` to mix into a slotted packet class.
+FLUID_SLOTS = (
+    "_fluid_rates",
+    "_fluid_rate_Bps",
+    "_v",
+    "_marks",
+    "_bg_pos",
+    "bg_bytes_offered",
+    "bg_bytes_served",
+    "bg_bytes_dropped",
+    "fluid_deferrals",
+)
 
-    The queue belongs to a link serving ``service_bps``; the link's
-    constructor wires that rate in through :meth:`set_service_rate`.
-    Real (foreground) packets and the virtual background interleave in
-    FIFO order: each real packet is stamped with the cumulative admitted
-    background byte count at its arrival, and it may only be transmitted
-    once the background bytes ahead of it have drained.
+
+class FluidLoad:
+    """Virtual-load bookkeeping shared by every fluid queue.
+
+    Mixed in ahead of a packet queue class, it adds the fluid state
+    (:data:`FLUID_SLOTS`), the per-source rate update and the
+    byte-conservation snapshot.  The concrete class integrates the
+    load in its own ``_advance``.
     """
 
-    __slots__ = (
-        "service_bps",
-        "_fluid_rates",
-        "_fluid_rate_Bps",
-        "_last_fluid",
-        "_v",
-        "_marks",
-        "_bg_pos",
-        "bg_bytes_offered",
-        "bg_bytes_served",
-        "bg_bytes_dropped",
-        "_real_out",
-        "_real_out_mark",
-        "fluid_deferrals",
-    )
+    __slots__ = ()
 
-    def __init__(self, capacity_bytes=200_000, service_bps=None):
-        super().__init__(capacity_bytes)
-        self.service_bps = service_bps
+    def __init__(self, *args):
+        super().__init__(*args)
         self._fluid_rates = {}  # source -> bits/s entering this queue
         self._fluid_rate_Bps = 0.0  # aggregate, bytes/s
-        self._last_fluid = 0.0
         self._v = 0.0  # virtual background backlog (bytes)
         self._marks = deque()  # admitted-bg position per queued packet
         self._bg_pos = 0.0  # cumulative admitted background bytes
         self.bg_bytes_offered = 0.0
         self.bg_bytes_served = 0.0
         self.bg_bytes_dropped = 0.0
-        self._real_out = 0.0  # cumulative real bytes dequeued
-        self._real_out_mark = 0.0
         self.fluid_deferrals = 0
 
-    # -- fluid plumbing ----------------------------------------------
-
-    def set_service_rate(self, bps):
-        """Called by the owning link: the serialization rate fluid shares."""
-        self.service_bps = bps
-
-    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
-        """Update one source's piecewise-constant rate through this queue.
-
-        A neutral link does not classify, so marked and unmarked shares
-        are folded into one aggregate.
-        """
+    def set_fluid_rate(self, now, source, bps):
+        """Update one source's piecewise-constant rate into this queue."""
         self._advance(now)
-        rate = marked_bps + unmarked_bps
         previous = self._fluid_rates.get(source, 0.0)
-        if rate != previous:
-            self._fluid_rates[source] = rate
-            self._fluid_rate_Bps += (rate - previous) / 8.0
+        if bps != previous:
+            self._fluid_rates[source] = bps
+            self._fluid_rate_Bps += (bps - previous) / 8.0
             if self._fluid_rate_Bps < 0.0:
                 self._fluid_rate_Bps = 0.0
 
@@ -169,6 +178,40 @@ class FluidDropTailQueue(DropTailQueue):
             "fluid_deferrals": self.fluid_deferrals,
         }
 
+
+class FluidDropTailQueue(FluidLoad, DropTailQueue):
+    """A drop-tail FIFO sharing its serialization capacity with fluid.
+
+    The queue belongs to a link serving ``service_bps``; the link's
+    constructor wires that rate in through :meth:`set_service_rate`.
+    Real (foreground) packets and the virtual background interleave in
+    FIFO order: each real packet is stamped with the cumulative admitted
+    background byte count at its arrival, and it may only be transmitted
+    once the background bytes ahead of it have drained.
+    """
+
+    __slots__ = FLUID_SLOTS + (
+        "service_bps",
+        "_last_fluid",
+        "_real_out",
+        "_real_out_mark",
+    )
+
+    def __init__(self, capacity_bytes=200_000, service_bps=None):
+        super().__init__(capacity_bytes)
+        self.service_bps = service_bps
+        self._last_fluid = 0.0
+        self._real_out = 0.0  # cumulative real bytes dequeued
+        self._real_out_mark = 0.0
+
+    def set_service_rate(self, bps):
+        """Called by the owning link: the serialization rate fluid shares."""
+        self.service_bps = bps
+
+    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
+        """Update one source's rate; a neutral link folds both classes."""
+        self.set_fluid_rate(now, source, marked_bps + unmarked_bps)
+
     def _advance(self, now):
         """Integrate the fluid between the last interaction and ``now``.
 
@@ -176,6 +219,14 @@ class FluidDropTailQueue(DropTailQueue):
         in FIFO order: only the virtual bytes *ahead of the real head*
         (or the whole backlog when no real packet is queued) may be
         served.  Arrivals behind a queued real packet never starve it.
+
+        :meth:`FluidTokenBucketFilter._advance` runs the same two
+        branches against a token pool.  They stay inline in both because
+        this is the hottest fluid call, ~2M windows per hybrid localize
+        round.  A shared helper adds one Python call per window.  In
+        isolation that made both kernels ~30% slower, which at their
+        share of a round exceeds the 2% of ``netsim.run_s`` a
+        behaviour-preserving refactor may cost.
         """
         dt = now - self._last_fluid
         if dt <= 0.0:
@@ -225,8 +276,6 @@ class FluidDropTailQueue(DropTailQueue):
             if _obs.ENABLED:
                 _obs.SINK.inc("netsim.fluid.virtual_drop_bytes", dropped)
 
-    # -- queue interface ---------------------------------------------
-
     def enqueue(self, packet, now):
         # _advance is a no-op at an unchanged clock; skip the call.
         if now != self._last_fluid:
@@ -269,102 +318,43 @@ class FluidDropTailQueue(DropTailQueue):
         return packet, None
 
 
-class FluidTokenBucketFilter(Qdisc):
-    """A token bucket whose tokens are also depleted by a fluid share.
+class FluidDualClassQdisc(DualClassQdisc):
+    """Classifier + fluid FIFO + fluid TBF + round-robin scheduler.
 
-    Mirrors :class:`~repro.netsim.token_bucket.TokenBucketFilter`'s
-    interface and accounting exactly (drops/enqueued/mean_delay/
-    backlog_bytes, the ``netsim.tbf.*`` counters), but the marked
-    background arrives as a rate process instead of packets: between
-    foreground events, generated tokens first serve the virtual backlog
-    in FIFO order, and foreground drop/wake decisions are computed from
-    the combined real + virtual occupancy.
+    The marked fluid share competes inside the token bucket; the
+    unmarked share competes for the FIFO class's serialization.  The
+    round-robin scheduler itself is unchanged -- both classes already
+    speak the ``(packet | None, wake | None)`` dequeue protocol.
     """
 
-    __slots__ = (
-        "rate_bps",
-        "burst_bytes",
-        "limit_bytes",
-        "_queue",
-        "_tokens",
-        "_last_update",
-        "_fluid_rates",
-        "_fluid_rate_Bps",
-        "_v",
-        "_marks",
-        "_bg_pos",
-        "bg_bytes_offered",
-        "bg_bytes_served",
-        "bg_bytes_dropped",
-        "fluid_deferrals",
-    )
+    __slots__ = ()
 
-    def __init__(self, rate_bps, burst_bytes, limit_bytes):
-        if rate_bps <= 0:
-            raise ValueError("TBF rate must be positive")
-        if burst_bytes <= 0:
-            raise ValueError("TBF burst must be positive")
-        self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self.limit_bytes = max(limit_bytes, 1)
-        self._queue = DropTailQueue(self.limit_bytes)
-        self._tokens = float(burst_bytes)
-        self._last_update = 0.0
-        self._fluid_rates = {}
-        self._fluid_rate_Bps = 0.0
-        self._v = 0.0
-        self._marks = deque()
-        self._bg_pos = 0.0
-        self.bg_bytes_offered = 0.0
-        self.bg_bytes_served = 0.0
-        self.bg_bytes_dropped = 0.0
-        self.fluid_deferrals = 0
+    def set_service_rate(self, bps):
+        self.fifo.set_service_rate(bps)
 
-    def __len__(self):
-        return len(self._queue)
-
-    @property
-    def drops(self):
-        return self._queue.drops
-
-    @property
-    def drops_bytes(self):
-        return self._queue.drops_bytes
-
-    @property
-    def enqueued(self):
-        return self._queue.enqueued
-
-    @property
-    def mean_delay(self):
-        return self._queue.mean_delay
-
-    @property
-    def backlog_bytes(self):
-        return self._queue.backlog_bytes
-
-    @property
-    def virtual_backlog_bytes(self):
-        return self._v
+    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
+        self.tbf.set_fluid_rate(now, source, marked_bps)
+        self.fifo.set_source_rate(now, source, 0.0, unmarked_bps)
 
     def fluid_stats(self):
-        return {
-            "bg_bytes_offered": self.bg_bytes_offered,
-            "bg_bytes_served": self.bg_bytes_served,
-            "bg_bytes_dropped": self.bg_bytes_dropped,
-            "virtual_backlog_bytes": self._v,
-            "fluid_deferrals": self.fluid_deferrals,
-        }
+        return _merge_stats(self.tbf.fluid_stats(), self.fifo.fluid_stats())
 
-    def set_fluid_rate(self, now, source, bps):
-        """Update one source's marked-share rate entering this bucket."""
-        self._advance(now)
-        previous = self._fluid_rates.get(source, 0.0)
-        if bps != previous:
-            self._fluid_rates[source] = bps
-            self._fluid_rate_Bps += (bps - previous) / 8.0
-            if self._fluid_rate_Bps < 0.0:
-                self._fluid_rate_Bps = 0.0
+
+class FluidTokenBucketFilter(FluidLoad, TokenBucketFilter):
+    """A token bucket whose tokens are also depleted by a fluid share.
+
+    Keeps :class:`~repro.netsim.token_bucket.TokenBucketFilter`'s
+    constructor, statistics and ``netsim.tbf.*`` counters, but the
+    marked background arrives as a rate process instead of packets:
+    between foreground events, generated tokens first serve the virtual
+    backlog in FIFO order, and foreground drop/wake decisions are
+    computed from the combined real + virtual occupancy.
+    """
+
+    __slots__ = FLUID_SLOTS
+
+    DEVICE = FluidDualClassQdisc
+    FIFO = FluidDropTailQueue
 
     def tokens(self, now):
         """Tokens available at ``now`` after fluid depletion (bytes)."""
@@ -387,11 +377,13 @@ class FluidTokenBucketFilter(Qdisc):
         # Token pool for this window: banked tokens plus everything
         # generated during it.  Backlogged background consumes tokens
         # the instant they appear, so the burst cap only applies to
-        # whatever is left at the end of the window.
+        # whatever is left at the end of the window.  The integration
+        # is FluidDropTailQueue._advance's, inline for the same reason.
         pool = self._tokens + generated
-        real_bytes = self._queue.backlog_bytes
+        queue = self._queue
+        real_bytes = queue.backlog_bytes
         self.bg_bytes_offered += arrivals
-        if self._queue._queue:
+        if queue._queue:
             servable = self._marks[0] - (self._bg_pos - self._v)
             if servable > self._v:
                 servable = self._v
@@ -400,7 +392,7 @@ class FluidTokenBucketFilter(Qdisc):
                 self._v -= served
                 self.bg_bytes_served += served
                 pool -= served
-            headroom = self.limit_bytes - real_bytes - self._v
+            headroom = queue.capacity_bytes - real_bytes - self._v
             admitted = arrivals if arrivals < headroom else max(headroom, 0.0)
             self._v += admitted
             self._bg_pos += admitted
@@ -413,7 +405,7 @@ class FluidTokenBucketFilter(Qdisc):
                 pool -= served
             direct = arrivals if arrivals < pool else pool
             remaining = arrivals - direct
-            headroom = self.limit_bytes - self._v
+            headroom = queue.capacity_bytes - self._v
             admitted = remaining if remaining < headroom else max(headroom, 0.0)
             self._v += admitted
             self._bg_pos += direct + admitted
@@ -428,24 +420,22 @@ class FluidTokenBucketFilter(Qdisc):
 
     def enqueue(self, packet, now):
         self._advance(now)
-        if (
-            self._queue.backlog_bytes + self._v + packet.size
-            > self.limit_bytes
-        ):
+        queue = self._queue
+        if queue.backlog_bytes + self._v + packet.size > queue.capacity_bytes:
             # Count through the inner queue so the ``drops`` property
             # and the harvested ``netsim.tbf.drops_total`` stay one
             # accounting path, exactly as in the packet-mode TBF.
-            self._queue.drops += 1
-            self._queue.drops_bytes += packet.size
+            queue.drops += 1
+            queue.drops_bytes += packet.size
             if _obs.ENABLED:
                 _obs.SINK.inc("netsim.queue.drops")
                 _obs.SINK.observe(
                     "netsim.queue.occupancy_at_drop_bytes",
-                    self._queue.backlog_bytes + self._v,
+                    queue.backlog_bytes + self._v,
                 )
                 _obs.SINK.inc("netsim.tbf.drops")
             return False
-        accepted = self._queue.enqueue(packet, now)
+        accepted = queue.enqueue(packet, now)
         if accepted:
             self._marks.append(self._bg_pos)
         return accepted
@@ -480,29 +470,7 @@ class FluidTokenBucketFilter(Qdisc):
         return None, now + need * 8.0 / self.rate_bps + _WAKE_GUARD
 
 
-class FluidDualClassQdisc(DualClassQdisc):
-    """Classifier + fluid FIFO + fluid TBF + round-robin scheduler.
-
-    The marked fluid share competes inside the token bucket; the
-    unmarked share competes for the FIFO class's serialization.  The
-    round-robin scheduler itself is unchanged -- both classes already
-    speak the ``(packet | None, wake | None)`` dequeue protocol.
-    """
-
-    __slots__ = ()
-
-    def set_service_rate(self, bps):
-        self.fifo.set_service_rate(bps)
-
-    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
-        self.tbf.set_fluid_rate(now, source, marked_bps)
-        self.fifo.set_source_rate(now, source, 0.0, unmarked_bps)
-
-    def fluid_stats(self):
-        return _merge_stats(self.tbf.fluid_stats(), self.fifo.fluid_stats())
-
-
-class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
+class FluidDualTokenBucketFilter(PeakBucketRules, FluidTokenBucketFilter):
     """Fluid twin of :class:`~repro.netsim.shapers.DualTokenBucketFilter`.
 
     A second (peak-rate) bucket gates both the foreground packets and
@@ -511,21 +479,7 @@ class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
     both buckets are settled from the bytes actually served.
     """
 
-    __slots__ = ("peak_rate_bps", "peak_burst_bytes", "_peak_tokens", "peak_deferrals")
-
-    def __init__(self, rate_bps, burst_bytes, limit_bytes, peak_rate_bps, peak_burst_bytes):
-        super().__init__(rate_bps, burst_bytes, limit_bytes)
-        if peak_rate_bps <= rate_bps:
-            raise ValueError("peak rate must exceed the committed rate")
-        if peak_burst_bytes <= 0:
-            raise ValueError("peak burst must be positive")
-        self.peak_rate_bps = peak_rate_bps
-        self.peak_burst_bytes = peak_burst_bytes
-        self._peak_tokens = float(peak_burst_bytes)
-        self.peak_deferrals = 0
-
-    def shaper_stats(self):
-        return {"tbf.peak_deferrals_total": self.peak_deferrals}
+    __slots__ = PeakBucketRules.PEAK_SLOTS
 
     def _advance(self, now):
         dt = now - self._last_update
@@ -565,10 +519,7 @@ class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
             self._marks.popleft()
             return self._queue.dequeue(now)
         self.fluid_deferrals += 1
-        if peak + 1e-9 < size:
-            self.peak_deferrals += 1
-            if _obs.ENABLED:
-                _obs.SINK.inc("netsim.tbf.peak_deferrals")
+        self._count_peak_deferral(size, peak)
         if _obs.ENABLED:
             _obs.SINK.inc("netsim.tbf.deferrals")
             _obs.SINK.inc("netsim.fluid.deferrals")
@@ -587,7 +538,7 @@ class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
         return None, now + max(wait_c, wait_p) + _WAKE_GUARD
 
 
-class FluidConditionalTokenBucket(FluidTokenBucketFilter):
+class FluidConditionalTokenBucket(TriggerRules, FluidTokenBucketFilter):
     """Fluid twin of :class:`~repro.netsim.shapers.ConditionalTokenBucket`.
 
     Pre-trigger, the class is unthrottled: fluid background drains
@@ -597,52 +548,10 @@ class FluidConditionalTokenBucket(FluidTokenBucketFilter):
     bucket starts full and the base fluid TBF takes over.
     """
 
-    __slots__ = (
-        "trigger_bytes",
-        "trigger_after_s",
-        "seen_bytes",
-        "tripped",
-        "tripped_at",
-    )
-
-    def __init__(
-        self,
-        rate_bps,
-        burst_bytes,
-        limit_bytes,
-        trigger_bytes=None,
-        trigger_after_s=None,
-    ):
-        super().__init__(rate_bps, burst_bytes, limit_bytes)
-        if trigger_bytes is None and trigger_after_s is None:
-            raise ValueError(
-                "conditional shaper needs trigger_bytes and/or trigger_after_s"
-            )
-        self.trigger_bytes = trigger_bytes
-        self.trigger_after_s = trigger_after_s
-        self.seen_bytes = 0.0
-        self.tripped = False
-        self.tripped_at = None
-        if trigger_bytes is not None and trigger_bytes <= 0:
-            self._trip(0.0)
-
-    def shaper_stats(self):
-        return {
-            "conditional.trips_total": 1 if self.tripped else 0,
-            "conditional.trigger_seen_bytes": self.seen_bytes,
-        }
-
-    def _trip(self, now):
-        self.tripped = True
-        self.tripped_at = now
-        self._tokens = float(self.burst_bytes)
-        if _obs.ENABLED:
-            _obs.SINK.inc("netsim.conditional.trips")
+    __slots__ = TriggerRules.TRIGGER_SLOTS
 
     def _advance(self, now):
-        if not self.tripped:
-            if self.trigger_after_s is not None and now >= self.trigger_after_s:
-                self._trip(now)
+        self._maybe_trip_time(now)
         if self.tripped:
             super()._advance(now)
             return
@@ -657,19 +566,12 @@ class FluidConditionalTokenBucket(FluidTokenBucketFilter):
             self.bg_bytes_served += self._v + arrivals
             self._bg_pos += arrivals
             self._v = 0.0
-            self.seen_bytes += arrivals
-            if (
-                self.trigger_bytes is not None
-                and self.seen_bytes >= self.trigger_bytes
-            ):
-                self._trip(now)
+            self._count_bytes(arrivals, now)
 
     def enqueue(self, packet, now):
         self._advance(now)
         if not self.tripped:
-            self.seen_bytes += packet.size
-            if self.trigger_bytes is not None and self.seen_bytes >= self.trigger_bytes:
-                self._trip(now)
+            self._count_bytes(packet.size, now)
         return super().enqueue(packet, now)
 
     def dequeue(self, now):
@@ -682,78 +584,34 @@ class FluidConditionalTokenBucket(FluidTokenBucketFilter):
         return self._queue.dequeue(now)
 
 
-class FluidPerFlowQdisc(Qdisc):
+class FluidPerFlowQdisc(PerFlowQdisc):
     """Per-flow limiter with a virtual background load term (Section 7).
 
     Marked background traverses its *own* per-flow buckets, never the
     foreground's, so its only effect on the foreground is link
     serialization of whatever the per-flow policers admit.  The
-    admitted marked rate is ``min(rate, n_flows x per-flow rate)``
-    (the UDP aggregate is a single flow id -- one bucket); the policed
-    excess is booked as virtual drops.  Foreground packets still get
-    real per-flow token buckets, exactly as in packet mode.
+    admitted marked rate is ``min(rate, n_flows x per-flow rate)``,
+    where ``n_flows`` counts the source's *marked* flows (the UDP
+    aggregate is a single flow id -- one bucket); the policed excess is
+    booked as virtual drops.  Foreground packets still get real per-flow
+    token buckets, exactly as in packet mode.
     """
 
     __slots__ = (
-        "rate_bps",
-        "burst_bytes",
-        "limit_bytes",
-        "flow_key",
-        "fifo",
-        "_flows",
-        "_rr_order",
-        "_rr_index",
         "_policed_rates",
         "_policed_rate_Bps",
         "_last_policed",
         "bg_bytes_policed",
     )
 
-    def __init__(
-        self,
-        rate_bps,
-        burst_bytes,
-        limit_bytes,
-        flow_key=None,
-        fifo_capacity=500_000,
-    ):
-        if rate_bps <= 0:
-            raise ValueError("per-flow rate must be positive")
-        self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self.limit_bytes = limit_bytes
-        self.flow_key = flow_key if flow_key is not None else _flow_id_key
-        self.fifo = FluidDropTailQueue(fifo_capacity)
-        self._flows = {}
-        self._rr_order = []
-        self._rr_index = 0
+    FIFO = FluidDropTailQueue
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._policed_rates = {}
         self._policed_rate_Bps = 0.0
         self._last_policed = 0.0
         self.bg_bytes_policed = 0.0
-
-    def __len__(self):
-        return len(self.fifo) + sum(len(tbf) for tbf in self._flows.values())
-
-    @property
-    def drops(self):
-        return self.fifo.drops + sum(tbf.drops for tbf in self._flows.values())
-
-    @property
-    def drops_bytes(self):
-        return self.fifo.drops_bytes + sum(
-            tbf.drops_bytes for tbf in self._flows.values()
-        )
-
-    @property
-    def backlog_bytes(self):
-        return self.fifo.backlog_bytes + sum(
-            tbf.backlog_bytes for tbf in self._flows.values()
-        )
-
-    @property
-    def n_flows(self):
-        return len(self._flows)
 
     def set_service_rate(self, bps):
         self.fifo.set_service_rate(bps)
@@ -789,41 +647,6 @@ class FluidPerFlowQdisc(Qdisc):
         stats["bg_bytes_dropped"] += self.bg_bytes_policed
         return stats
 
-    def _bucket_for(self, key):
-        bucket = self._flows.get(key)
-        if bucket is None:
-            from repro.netsim.token_bucket import TokenBucketFilter
-
-            bucket = TokenBucketFilter(
-                self.rate_bps, self.burst_bytes, self.limit_bytes
-            )
-            self._flows[key] = bucket
-            self._rr_order.append(key)
-        return bucket
-
-    def enqueue(self, packet, now):
-        if packet.dscp != 1:
-            return self.fifo.enqueue(packet, now)
-        return self._bucket_for(self.flow_key(packet)).enqueue(packet, now)
-
-    def dequeue(self, now):
-        queues = [self.fifo] + [self._flows[k] for k in self._rr_order]
-        n = len(queues)
-        earliest_wake = None
-        for offset in range(n):
-            queue = queues[(self._rr_index + offset) % n]
-            packet, wake = queue.dequeue(now)
-            if packet is not None:
-                self._rr_index = (self._rr_index + offset + 1) % n
-                return packet, None
-            if wake is not None and (earliest_wake is None or wake < earliest_wake):
-                earliest_wake = wake
-        return None, earliest_wake
-
-
-def _flow_id_key(packet):
-    return packet.flow_id
-
 
 def _merge_stats(*parts):
     merged = {
@@ -837,17 +660,6 @@ def _merge_stats(*parts):
         for key in merged:
             merged[key] += part[key]
     return merged
-
-
-def _build_fluid_tbf_device(
-    rate_bps, rtt_s=0.035, queue_factor=0.5, fifo_capacity=500_000
-):
-    """Fluid twin of the ``"tbf"`` device (same sizing rules)."""
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    tbf = FluidTokenBucketFilter(rate_bps, burst, limit)
-    return FluidDualClassQdisc(
-        tbf, FluidDropTailQueue(fifo_capacity), _dscp_classifier
-    )
 
 
 def _build_fluid_perflow_device(
@@ -871,54 +683,20 @@ def _build_fluid_perflow_device(
     return FluidPerFlowQdisc(rate_bps, burst, limit, fifo_capacity=fifo_capacity)
 
 
-def _build_fluid_dual_tbf_device(
-    rate_bps,
-    rtt_s=0.035,
-    queue_factor=0.5,
-    fifo_capacity=500_000,
-    peak_factor=2.0,
-    boost_bytes=1_500_000,
-):
-    """Fluid twin of the ``"dual_tbf"`` device (same sizing as shapers.py)."""
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    peak_rate = peak_factor * rate_bps
-    peak_burst = max(int(peak_rate * rtt_s / 8.0), 3000)
-    cir_burst = max(int(boost_bytes), burst)
-    tbf = FluidDualTokenBucketFilter(rate_bps, cir_burst, limit, peak_rate, peak_burst)
-    return FluidDualClassQdisc(
-        tbf, FluidDropTailQueue(fifo_capacity), _dscp_classifier
-    )
-
-
-def _build_fluid_conditional_device(
-    rate_bps,
-    rtt_s=0.035,
-    queue_factor=0.5,
-    fifo_capacity=500_000,
-    trigger_bytes=4_000_000.0,
-    trigger_after_s=None,
-):
-    """Fluid twin of the ``"conditional"`` device (same sizing as shapers.py)."""
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    tbf = FluidConditionalTokenBucket(
-        rate_bps, burst, limit,
-        trigger_bytes=trigger_bytes, trigger_after_s=trigger_after_s,
-    )
-    return FluidDualClassQdisc(
-        tbf, FluidDropTailQueue(fifo_capacity), _dscp_classifier
-    )
-
-
-# Attach the fluid halves to the mechanisms registered elsewhere.  The
-# AQMs (red/ecn/codel/pie) deliberately have none: their drop processes
-# depend on instantaneous queue state in a way the closed-form fluid
-# integration cannot reproduce, so make_qdisc raises QdiscFidelityError
-# for them under fidelity="hybrid".
+# Attach the fluid halves to the mechanisms registered elsewhere: each
+# class-shaper mechanism reuses its packet device builder, bound to the
+# fluid shaper class.  The AQMs (red/ecn/codel/pie) deliberately have
+# none: their drop processes depend on instantaneous queue state in a
+# way the closed-form fluid integration cannot reproduce, so make_qdisc
+# raises QdiscFidelityError for them under fidelity="hybrid".
 register("droptail", fluid=FluidDropTailQueue)
-register("tbf", fluid=_build_fluid_tbf_device)
+register("tbf", fluid=partial(_build_tbf_device, FluidTokenBucketFilter))
 register("perflow", fluid=_build_fluid_perflow_device)
-register("dual_tbf", fluid=_build_fluid_dual_tbf_device)
-register("conditional", fluid=_build_fluid_conditional_device)
+register("dual_tbf", fluid=partial(_build_dual_tbf_device, FluidDualTokenBucketFilter))
+register(
+    "conditional",
+    fluid=partial(_build_conditional_device, FluidConditionalTokenBucket),
+)
 
 
 # -- fluid background sources ---------------------------------------
@@ -1101,7 +879,9 @@ class FluidTcpBackground(_FluidSource):
         self.rtt_range = rtt_range
         self._marked_bps = 0.0
         self._unmarked_bps = 0.0
-        self._active_flows = 0
+        # Marked flows only: per-flow policing admits n_flows x rate of
+        # the marked share, and unmarked flows never reach a bucket.
+        self._marked_flows = 0
         self.flows_spawned = 0
         for _ in range(n_longlived):
             # Same draw order as TcpBackgroundPool._spawn: dscp, then RTT.
@@ -1110,9 +890,9 @@ class FluidTcpBackground(_FluidSource):
             rate = longlived_rate_bps * TCP_WIRE_OVERHEAD
             if dscp == 1:
                 self._marked_bps += rate
+                self._marked_flows += 1
             else:
                 self._unmarked_bps += rate
-            self._active_flows += 1
             self.flows_spawned += 1
         sim.schedule_at(start_at, self._emit)
         if short_flow_rate > 0:
@@ -1124,7 +904,7 @@ class FluidTcpBackground(_FluidSource):
             sim.schedule_at(stop_at, self._halt)
 
     def _emit(self):
-        self._push(self._marked_bps, self._unmarked_bps, self._active_flows)
+        self._push(self._marked_bps, self._unmarked_bps, self._marked_flows)
 
     def _spawn_short(self):
         if self._stopped():
@@ -1137,9 +917,9 @@ class FluidTcpBackground(_FluidSource):
         rtt = float(rng.uniform(*self.rtt_range))
         rate, duration = short_flow_pulse(size, rtt)
         self.flows_spawned += 1
-        self._active_flows += 1
         if dscp == 1:
             self._marked_bps += rate
+            self._marked_flows += 1
         else:
             self._unmarked_bps += rate
         self._emit()
@@ -1149,9 +929,9 @@ class FluidTcpBackground(_FluidSource):
         )
 
     def _end_pulse(self, rate, dscp):
-        self._active_flows -= 1
         if dscp == 1:
             self._marked_bps = max(0.0, self._marked_bps - rate)
+            self._marked_flows -= 1
         else:
             self._unmarked_bps = max(0.0, self._unmarked_bps - rate)
         self._emit()
@@ -1159,7 +939,7 @@ class FluidTcpBackground(_FluidSource):
     def _halt(self):
         self._marked_bps = 0.0
         self._unmarked_bps = 0.0
-        self._active_flows = 0
+        self._marked_flows = 0
         self._emit()
 
 

@@ -35,6 +35,9 @@ class PerFlowQdisc(Qdisc):
             qdisc's rate/burst/limit).  This is how the registry
             composes per-flow placement with any class-shaper
             mechanism (see :func:`repro.netsim.qdisc.class_shaper_factory`).
+
+    ``FIFO`` names the class of the non-throttled queue; the fluid twin
+    (:class:`~repro.netsim.fluid.FluidPerFlowQdisc`) swaps in its own.
     """
 
     __slots__ = (
@@ -48,6 +51,8 @@ class PerFlowQdisc(Qdisc):
         "_rr_order",
         "_rr_index",
     )
+
+    FIFO = DropTailQueue
 
     def __init__(
         self,
@@ -64,7 +69,7 @@ class PerFlowQdisc(Qdisc):
         self.burst_bytes = burst_bytes
         self.limit_bytes = limit_bytes
         self.flow_key = flow_key if flow_key is not None else _default_flow_key
-        self.fifo = DropTailQueue(fifo_capacity)
+        self.fifo = self.FIFO(fifo_capacity)
         self.bucket_factory = bucket_factory
         self._flows = {}  # key -> TokenBucketFilter (or bucket_factory product)
         self._rr_order = []  # stable round-robin order over flow keys

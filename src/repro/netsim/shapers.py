@@ -29,6 +29,12 @@ Mechanisms (all packet-exact):
   seconds) have passed, then an ordinary TBF.  Generalizes ISP5's
   delayed-trigger classifier to the qdisc itself.
 
+The two-rate and conditional rules (constructor checks, statistics,
+the trigger) live in the :class:`PeakBucketRules` and
+:class:`TriggerRules` mixins, which the fluid twins in
+:mod:`repro.netsim.fluid` share; each device builder takes the shaper
+class first and is registered once per fidelity.
+
 AQM queue depth is configured in *time* (``buffer_s`` at the shaping
 rate), as deployed AQMs are; the Table-2 ``queue_factor`` scales it
 relative to its 0.5 default so queue-depth sweeps still bite.
@@ -41,10 +47,10 @@ from the scenario seed.
 
 import math
 import random
+from functools import partial
 
 from repro.netsim.qdisc import register, standard_sizing
-from repro.netsim.queues import DropTailQueue
-from repro.netsim.token_bucket import DualClassQdisc, TokenBucketFilter
+from repro.netsim.token_bucket import TokenBucketFilter, class_device
 from repro.obs import metrics as _obs
 
 MTU_BYTES = 1500
@@ -376,17 +382,16 @@ class PieTokenBucket(TokenBucketFilter):
         return super().enqueue(packet, now)
 
 
-class DualTokenBucketFilter(TokenBucketFilter):
-    """Two-rate policer: committed (CIR) and peak (PIR) buckets in series.
+class PeakBucketRules:
+    """The peak-rate bucket's rules, shared by both fidelities' two-rate shapers.
 
-    A packet is released only when *both* buckets hold its size in
-    tokens.  With a large committed burst (the "boost" allowance) and a
-    small peak burst, throughput runs at the peak rate until the boost
-    is consumed, then steps down to the committed rate -- the signature
-    of consumer "speed boost" plans.
+    A mixin ahead of a token-bucket base; concrete classes declare
+    :attr:`PEAK_SLOTS` (two slotted bases cannot be combined).
     """
 
-    __slots__ = ("peak_rate_bps", "peak_burst_bytes", "_peak_tokens", "peak_deferrals")
+    __slots__ = ()
+
+    PEAK_SLOTS = ("peak_rate_bps", "peak_burst_bytes", "_peak_tokens", "peak_deferrals")
 
     def __init__(self, rate_bps, burst_bytes, limit_bytes, peak_rate_bps, peak_burst_bytes):
         super().__init__(rate_bps, burst_bytes, limit_bytes)
@@ -401,6 +406,25 @@ class DualTokenBucketFilter(TokenBucketFilter):
 
     def shaper_stats(self):
         return {"tbf.peak_deferrals_total": self.peak_deferrals}
+
+    def _count_peak_deferral(self, size, peak):
+        if peak + 1e-9 < size:
+            self.peak_deferrals += 1
+            if _obs.ENABLED:
+                _obs.SINK.inc("netsim.tbf.peak_deferrals")
+
+
+class DualTokenBucketFilter(PeakBucketRules, TokenBucketFilter):
+    """Two-rate policer: committed (CIR) and peak (PIR) buckets in series.
+
+    A packet is released only when *both* buckets hold its size in
+    tokens.  With a large committed burst (the "boost" allowance) and a
+    small peak burst, throughput runs at the peak rate until the boost
+    is consumed, then steps down to the committed rate -- the signature
+    of consumer "speed boost" plans.
+    """
+
+    __slots__ = PeakBucketRules.PEAK_SLOTS
 
     def _replenish(self, now):
         if now > self._last_update:
@@ -427,10 +451,7 @@ class DualTokenBucketFilter(TokenBucketFilter):
             self._tokens = tokens - size if tokens > size else 0.0
             self._peak_tokens = peak - size if peak > size else 0.0
             return queue.dequeue(now)
-        if peak + 1e-9 < size:
-            self.peak_deferrals += 1
-            if _obs.ENABLED:
-                _obs.SINK.inc("netsim.tbf.peak_deferrals")
+        self._count_peak_deferral(size, peak)
         if _obs.ENABLED:
             _obs.SINK.inc("netsim.tbf.deferrals")
             _obs.SINK.observe(
@@ -445,17 +466,16 @@ class DualTokenBucketFilter(TokenBucketFilter):
         return None, now + max(wait_cir, wait_pir) + 1e-9
 
 
-class ConditionalTokenBucket(TokenBucketFilter):
-    """Delayed throttling: a pure FIFO until a trigger, then a TBF.
+class TriggerRules:
+    """The conditional shaper's trigger, shared by both fidelities.
 
-    The trigger is a byte volume of class traffic (``trigger_bytes``),
-    a wall-clock deadline (``trigger_after_s``), or both (first to
-    fire wins).  On tripping, the bucket starts full so the transition
-    looks exactly like a policer being switched on -- the qdisc-level
-    generalization of ISP5's delayed-trigger classifier.
+    A mixin ahead of a token-bucket base; concrete classes declare
+    :attr:`TRIGGER_SLOTS` (two slotted bases cannot be combined).
     """
 
-    __slots__ = (
+    __slots__ = ()
+
+    TRIGGER_SLOTS = (
         "trigger_bytes",
         "trigger_after_s",
         "seen_bytes",
@@ -495,7 +515,6 @@ class ConditionalTokenBucket(TokenBucketFilter):
         self.tripped_at = now
         # Throttling starts with a full bucket, as if just configured.
         self._tokens = float(self.burst_bytes)
-        self._last_update = now
         if _obs.ENABLED:
             _obs.SINK.inc("netsim.conditional.trips")
 
@@ -507,12 +526,36 @@ class ConditionalTokenBucket(TokenBucketFilter):
         ):
             self._trip(now)
 
+    def _count_bytes(self, nbytes, now):
+        """Book ``nbytes`` of class traffic toward the byte trigger."""
+        self.seen_bytes += nbytes
+        if self.trigger_bytes is not None and self.seen_bytes >= self.trigger_bytes:
+            self._trip(now)
+
+
+class ConditionalTokenBucket(TriggerRules, TokenBucketFilter):
+    """Delayed throttling: a pure FIFO until a trigger, then a TBF.
+
+    The trigger is a byte volume of class traffic (``trigger_bytes``),
+    a wall-clock deadline (``trigger_after_s``), or both (first to
+    fire wins).  On tripping, the bucket starts full so the transition
+    looks exactly like a policer being switched on -- the qdisc-level
+    generalization of ISP5's delayed-trigger classifier.
+    """
+
+    __slots__ = TriggerRules.TRIGGER_SLOTS
+
+    def _trip(self, now):
+        super()._trip(now)
+        # Pre-trigger the bucket is never replenished, so restart its
+        # clock here.  (The fluid twin must not: it still integrates the
+        # straddling window's background arrivals.)
+        self._last_update = now
+
     def enqueue(self, packet, now):
         self._maybe_trip_time(now)
         if not self.tripped:
-            self.seen_bytes += packet.size
-            if self.trigger_bytes is not None and self.seen_bytes >= self.trigger_bytes:
-                self._trip(now)
+            self._count_bytes(packet.size, now)
         return super().enqueue(packet, now)
 
     def dequeue(self, now):
@@ -547,7 +590,7 @@ def _build_red_device(
         rate_bps, burst, limit,
         min_th=min_th, max_th=max_th, max_p=max_p, w_q=w_q, seed=seed,
     )
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    return class_device(shaper, fifo_capacity)
 
 
 def _build_ecn_device(
@@ -568,7 +611,7 @@ def _build_ecn_device(
         rate_bps, burst, limit,
         min_th=min_th, max_th=max_th, max_p=max_p, w_q=w_q, ecn=True, seed=seed,
     )
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    return class_device(shaper, fifo_capacity)
 
 
 def _ecn_bucket(rate_bps, burst_bytes, limit_bytes, **params):
@@ -588,7 +631,7 @@ def _build_codel_device(
     burst, _ = standard_sizing(rate_bps, rtt_s, queue_factor)
     limit = _aqm_buffer_bytes(rate_bps, queue_factor, buffer_s)
     shaper = CoDelTokenBucket(rate_bps, burst, limit, target=target, interval=interval)
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    return class_device(shaper, fifo_capacity)
 
 
 def _build_pie_device(
@@ -609,10 +652,11 @@ def _build_pie_device(
         rate_bps, burst, limit,
         target=target, t_update=t_update, alpha=alpha, beta=beta, seed=seed,
     )
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    return class_device(shaper, fifo_capacity)
 
 
 def _build_dual_tbf_device(
+    shaper_cls,
     rate_bps,
     rtt_s=0.035,
     queue_factor=0.5,
@@ -624,11 +668,12 @@ def _build_dual_tbf_device(
     peak_rate = peak_factor * rate_bps
     peak_burst = max(int(peak_rate * rtt_s / 8.0), 3000)
     cir_burst = max(int(boost_bytes), burst)
-    shaper = DualTokenBucketFilter(rate_bps, cir_burst, limit, peak_rate, peak_burst)
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    shaper = shaper_cls(rate_bps, cir_burst, limit, peak_rate, peak_burst)
+    return class_device(shaper, fifo_capacity)
 
 
 def _build_conditional_device(
+    shaper_cls,
     rate_bps,
     rtt_s=0.035,
     queue_factor=0.5,
@@ -637,11 +682,11 @@ def _build_conditional_device(
     trigger_after_s=None,
 ):
     burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    shaper = ConditionalTokenBucket(
+    shaper = shaper_cls(
         rate_bps, burst, limit,
         trigger_bytes=trigger_bytes, trigger_after_s=trigger_after_s,
     )
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    return class_device(shaper, fifo_capacity)
 
 
 register(
@@ -673,13 +718,13 @@ register(
 )
 register(
     "dual_tbf",
-    packet=_build_dual_tbf_device,
+    packet=partial(_build_dual_tbf_device, DualTokenBucketFilter),
     shaper=DualTokenBucketFilter,
     doc="two-rate CIR/PIR policer with a boost allowance (RFC 2698 shape)",
 )
 register(
     "conditional",
-    packet=_build_conditional_device,
+    packet=partial(_build_conditional_device, ConditionalTokenBucket),
     shaper=ConditionalTokenBucket,
     doc="delayed throttling: FIFO until N bytes or T seconds, then TBF",
 )

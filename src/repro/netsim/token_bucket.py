@@ -15,10 +15,71 @@ whether the device behaves as a policer (small limit, drops) or a shaper
 (large limit, delays).
 """
 
+from functools import partial
 
 from repro.netsim.qdisc import Qdisc, register, standard_sizing
 from repro.netsim.queues import DropTailQueue
 from repro.obs import metrics as _obs
+
+
+class DualClassQdisc(Qdisc):
+    """Classifier + FIFO + TBF + round-robin scheduler (Appendix C.1).
+
+    ``classifier`` maps a packet to True when it belongs to the
+    throttled class (the paper uses the DSCP field; the default
+    classifier does exactly that).
+    """
+
+    __slots__ = ("tbf", "fifo", "classifier", "_serve_tbf_next")
+
+    def __init__(self, tbf, fifo=None, classifier=None):
+        self.tbf = tbf
+        self.fifo = fifo if fifo is not None else DropTailQueue(500_000)
+        self.classifier = classifier if classifier is not None else _dscp_classifier
+        self._serve_tbf_next = False
+
+    def __len__(self):
+        return len(self.fifo) + len(self.tbf)
+
+    @property
+    def drops(self):
+        return self.fifo.drops + self.tbf.drops
+
+    @property
+    def drops_bytes(self):
+        return self.fifo.drops_bytes + self.tbf.drops_bytes
+
+    @property
+    def backlog_bytes(self):
+        return self.fifo.backlog_bytes + self.tbf.backlog_bytes
+
+    def enqueue(self, packet, now):
+        if self.classifier(packet):
+            return self.tbf.enqueue(packet, now)
+        return self.fifo.enqueue(packet, now)
+
+    def dequeue(self, now):
+        # Round-robin between the two classes; when the preferred class
+        # cannot supply a packet, fall through to the other.
+        first, second = (
+            (self.tbf, self.fifo) if self._serve_tbf_next else (self.fifo, self.tbf)
+        )
+        packet, wake = first.dequeue(now)
+        if packet is not None:
+            self._serve_tbf_next = first is self.fifo
+            return packet, None
+        packet2, wake2 = second.dequeue(now)
+        if packet2 is not None:
+            self._serve_tbf_next = second is self.fifo
+            return packet2, None
+        # Neither class is ready: report the earliest wake-up, if any.
+        if wake is None or (wake2 is not None and wake2 < wake):
+            return None, wake2
+        return None, wake
+
+
+def _dscp_classifier(packet):
+    return packet.dscp == 1
 
 
 class TokenBucketFilter(Qdisc):
@@ -29,9 +90,16 @@ class TokenBucketFilter(Qdisc):
     the bucket holds at least its size in tokens.  Arrivals that find the
     queue full are dropped -- with a small ``limit_bytes`` this is
     exactly a policer.
+
+    ``DEVICE`` and ``FIFO`` name the classes :func:`class_device` wraps
+    this shaper in; fluid twins (:mod:`repro.netsim.fluid`) override
+    them, so one device builder serves both fidelities.
     """
 
     __slots__ = ("rate_bps", "burst_bytes", "_queue", "_tokens", "_last_update")
+
+    DEVICE = DualClassQdisc
+    FIFO = DropTailQueue
 
     def __init__(self, rate_bps, burst_bytes, limit_bytes):
         if rate_bps <= 0:
@@ -119,82 +187,28 @@ class TokenBucketFilter(Qdisc):
         return None, wake
 
 
-class DualClassQdisc(Qdisc):
-    """Classifier + FIFO + TBF + round-robin scheduler (Appendix C.1).
-
-    ``classifier`` maps a packet to True when it belongs to the
-    throttled class (the paper uses the DSCP field; the default
-    classifier does exactly that).
-    """
-
-    __slots__ = ("tbf", "fifo", "classifier", "_serve_tbf_next")
-
-    def __init__(self, tbf, fifo=None, classifier=None):
-        self.tbf = tbf
-        self.fifo = fifo if fifo is not None else DropTailQueue(500_000)
-        self.classifier = classifier if classifier is not None else _dscp_classifier
-        self._serve_tbf_next = False
-
-    def __len__(self):
-        return len(self.fifo) + len(self.tbf)
-
-    @property
-    def drops(self):
-        return self.fifo.drops + self.tbf.drops
-
-    @property
-    def drops_bytes(self):
-        return self.fifo.drops_bytes + self.tbf.drops_bytes
-
-    @property
-    def backlog_bytes(self):
-        return self.fifo.backlog_bytes + self.tbf.backlog_bytes
-
-    def enqueue(self, packet, now):
-        if self.classifier(packet):
-            return self.tbf.enqueue(packet, now)
-        return self.fifo.enqueue(packet, now)
-
-    def dequeue(self, now):
-        # Round-robin between the two classes; when the preferred class
-        # cannot supply a packet, fall through to the other.
-        first, second = (
-            (self.tbf, self.fifo) if self._serve_tbf_next else (self.fifo, self.tbf)
-        )
-        packet, wake = first.dequeue(now)
-        if packet is not None:
-            self._serve_tbf_next = first is self.fifo
-            return packet, None
-        packet2, wake2 = second.dequeue(now)
-        if packet2 is not None:
-            self._serve_tbf_next = second is self.fifo
-            return packet2, None
-        # Neither class is ready: report the earliest wake-up, if any.
-        if wake is None or (wake2 is not None and wake2 < wake):
-            return None, wake2
-        return None, wake
+def class_device(shaper, fifo_capacity):
+    """The Appendix-C.1 device around ``shaper``, at the shaper's fidelity."""
+    return shaper.DEVICE(shaper, shaper.FIFO(fifo_capacity))
 
 
-def _dscp_classifier(packet):
-    return packet.dscp == 1
-
-
-def _build_tbf_device(rate_bps, rtt_s=0.035, queue_factor=0.5, fifo_capacity=500_000):
-    """Build the paper's standard rate limiter.
+def _build_tbf_device(
+    shaper_cls, rate_bps, rtt_s=0.035, queue_factor=0.5, fifo_capacity=500_000
+):
+    """Build the paper's standard rate limiter around ``shaper_cls``.
 
     ``burst = rate x RTT`` (so the throttling rate is achieved on
     average), and the TBF queue size is ``queue_factor x burst``
     (0.25/0.5/1 in Table 2; smaller is more policer-like, larger more
-    shaper-like).
+    shaper-like).  The registry binds ``shaper_cls`` per fidelity.
     """
     burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    tbf = TokenBucketFilter(rate_bps, burst, limit)
-    return DualClassQdisc(tbf, DropTailQueue(fifo_capacity))
+    return class_device(shaper_cls(rate_bps, burst, limit), fifo_capacity)
 
 
 register(
     "tbf",
-    packet=_build_tbf_device,
+    packet=partial(_build_tbf_device, TokenBucketFilter),
     shaper=TokenBucketFilter,
     doc="single-rate token-bucket policer/shaper (Appendix C.1 device)",
 )

@@ -24,6 +24,7 @@ from repro.netsim.background import ModulatedPoissonBackground
 from repro.netsim.engine import Simulator, events_processed_total
 from repro.netsim.fluid import (
     FluidDropTailQueue,
+    FluidPerFlowQdisc,
     FluidPoissonBackground,
     FluidTcpBackground,
     FluidTokenBucketFilter,
@@ -272,6 +273,34 @@ def test_fluid_tcp_short_flows_deterministic_per_seed():
 
     assert spawned(4) == spawned(4)
     assert spawned(4) != spawned(5)
+
+
+def test_fluid_perflow_polices_only_marked_flows():
+    """An unmarked flow must not raise the marked class's admission cap.
+
+    Seed 0 marks one of the two 1.5 Mb/s long-lived flows, so a 1 Mb/s
+    per-flow policer admits 1 Mb/s of the marked share and polices the
+    rest; the unmarked flow never reaches a bucket.
+    """
+    sim = Simulator()
+    qdisc = FluidPerFlowQdisc(1e6, 5000, 2500)
+    link = Link(sim, "c", 100e6, 0.001, qdisc)
+    bg = FluidTcpBackground(
+        sim,
+        np.random.default_rng(0),
+        [link],
+        n_longlived=2,
+        longlived_rate_bps=1.5e6,
+        short_flow_rate=0.0,
+    )
+    sim.run(until=10.0)
+    bg._emit()  # settle the policed integral at `now`
+    marked_bps = 1.5e6 * TCP_WIRE_OVERHEAD
+    assert bg._marked_bps == pytest.approx(marked_bps)
+    assert bg._unmarked_bps == pytest.approx(marked_bps)
+    expected = (marked_bps - 1e6) / 8.0 * 10.0
+    assert qdisc.bg_bytes_policed == pytest.approx(expected, rel=1e-6)
+    assert conservation_gap(qdisc.fluid_stats()) < 1e-6
 
 
 def test_short_flow_pulse_conserves_bytes():

@@ -119,6 +119,27 @@ GOLDEN_CELLS = {
     ("netflix", "common", "packet", "codel"): (
         "1c3750005b535bf8579d2f32f48b471624a5967ef4a7f9402458952a83dbf1a3"
     ),
+    # One cell per fluid twin, at both fidelities.  Netflix 5 s cells
+    # throttle on every mechanism here (the conditional trigger trips
+    # and the dual bucket defers on its peak rate); zoom's do not.
+    ("netflix", "perflow", "packet", None): (
+        "6a69a83e8e0d8c58859bb644f0e783d65ad54520bad138699dc3dde75060def2"
+    ),
+    ("netflix", "perflow", "hybrid", None): (
+        "d86a6c89d32991acb2c0a175b6cfe4115de1b68e3cb2f0d1cb9dab1a055733d1"
+    ),
+    ("netflix", "common", "packet", "dual_tbf"): (
+        "5f437049b5ed37c0868941f22fd60eea70c67b04cc8e37542d924dca4a14004d"
+    ),
+    ("netflix", "common", "hybrid", "dual_tbf"): (
+        "391a8632a988aedd8f15153715a65d13b20ac6f250460cea08f908e719650644"
+    ),
+    ("netflix", "common", "packet", "conditional"): (
+        "b756ac6f6fa18196e2366469c8ecad36b75a0452004e5cd492c4e46518a73249"
+    ),
+    ("netflix", "common", "hybrid", "conditional"): (
+        "ba2bf2e3d3c1a9b0a52a4a736c585094628dc34bbc770ebb15c2eefe6eadcf43"
+    ),
 }
 
 GOLDEN_WILD = {

@@ -101,6 +101,14 @@ class TestMakeQdisc:
         with pytest.raises(ValueError, match="bad parameters for qdisc 'red'"):
             make_qdisc("red", rate_bps=2e6, nonsense=1)
 
+    @pytest.mark.parametrize("fidelity", ["packet", "hybrid"])
+    def test_bound_shaper_class_is_not_a_parameter(self, fidelity):
+        # One builder per mechanism serves both fidelities; the shaper
+        # class it is bound to cannot be overridden by keyword.
+        for name in ("tbf", "dual_tbf", "conditional"):
+            with pytest.raises(ValueError, match=f"bad parameters for qdisc '{name}'"):
+                make_qdisc(name, fidelity=fidelity, rate_bps=2e6, shaper_cls=object)
+
     def test_unknown_fidelity_raises(self):
         with pytest.raises(ValueError, match="unknown fidelity"):
             make_qdisc("tbf", fidelity="quantum", rate_bps=2e6)
