@@ -170,6 +170,49 @@ def rtts_from_traceroutes(
     return tuple(rtts)
 
 
+def rehash_recovery(report, localize, ports_rng, budget):
+    """Bounded port-redraw retries after a multipath-suspect report.
+
+    Each retry re-draws both replays' ephemeral source ports from
+    ``ports_rng``, which re-hashes them across the bundle; with N
+    members a draw co-hashes them with probability 1/N, so a small
+    ``budget`` almost surely lands at least one genuinely-shared
+    attempt.  ``localize(ports)`` runs one localization on the drawn
+    ports and returns its report.
+
+    The chain persists until a *localized* verdict (recovery) or the
+    budget runs out: once suspicion is established, a single re-hash
+    draw that comes back empty-handed (``no-common-bottleneck``,
+    ``not-confirmed-both-paths``) may itself be split-path collateral,
+    so it never overwrites the suspect finding.  An invalid retry or an
+    aborted retry replay (:class:`~repro.faults.ReplayAbortedError`)
+    ends the chain and keeps the last honest report.  An exhausted
+    budget keeps the suspect report: the suspicion is the finding.
+
+    Returns ``(report, recovered)``.  The coordinator and the multipath
+    claim (:mod:`repro.claims.multipath`) both run this loop.
+    """
+    for _ in range(budget):
+        ports = tuple(
+            int(port)
+            for port in ports_rng.integers(
+                EPHEMERAL_PORT_LO, EPHEMERAL_PORT_HI + 1, size=2
+            )
+        )
+        try:
+            retried = localize(ports)
+        except ReplayAbortedError:
+            break
+        if retried.invalid:
+            break
+        if retried.localized:
+            return retried, True
+        if retried.multipath_suspect:
+            # Suspicion stands; keep the freshest suspect evidence.
+            report = retried
+    return report, False
+
+
 class WeHeYCoordinator:
     """Runs coordinated WeHeY tests against a ground-truth scenario.
 
@@ -464,24 +507,13 @@ class WeHeYCoordinator:
 
     def _rehash_recovery(self, report, run_localization, client, attempt_index,
                          rehashes):
-        """Bounded port-redraw retries after a multipath-suspect report.
-
-        Each retry re-draws both replays' ephemeral source ports, which
-        re-hashes them across the bundle; with N members a draw
-        co-hashes them with probability 1/N, so a small budget almost
-        surely lands at least one genuinely-shared attempt.  The chain
-        persists until a *localized* verdict (recovery) or the budget
-        runs out: once suspicion is established, a single re-hash draw
-        that comes back empty-handed (``no-common-bottleneck``,
-        ``not-confirmed-both-paths``) may itself be split-path
-        collateral, so it never overwrites the suspect finding.
+        """:func:`rehash_recovery` on this attempt's own port stream.
 
         The port stream is seeded from ``(scenario seed, client,
         attempt)`` -- its own :class:`~numpy.random.SeedSequence`
         branch, so drawing ports never perturbs ``self.rng`` (which
-        feeds the localizer's Monte-Carlo subsampling).  An exhausted
-        budget keeps the honest suspect report: COMPLETED, with the
-        suspicion as the finding.
+        feeds the localizer's Monte-Carlo subsampling).  Each retry is
+        counted and logged in ``rehashes`` as ``(ports, reason_code)``.
         """
         ports_rng = np.random.default_rng(
             np.random.SeedSequence(
@@ -489,34 +521,26 @@ class WeHeYCoordinator:
                  replay_entropy(client.name, attempt_index)]
             )
         )
-        for _ in range(self.multipath_rehash_retries):
-            ports = tuple(
-                int(port)
-                for port in ports_rng.integers(
-                    EPHEMERAL_PORT_LO, EPHEMERAL_PORT_HI + 1, size=2
-                )
-            )
+
+        def retry(ports):
             self.telemetry["multipath_retries"] += 1
             if _obs.ENABLED:
                 _obs.SINK.inc("coordinator.multipath_retries")
             try:
                 retried = run_localization(ports)
             except ReplayAbortedError:
-                # The retry replay died; keep the last honest report.
                 rehashes.append((ports, "replay-aborted"))
-                break
+                raise
             rehashes.append((ports, retried.reason_code))
-            if retried.invalid:
-                break
-            if retried.localized:
-                report = retried
-                self.telemetry["multipath_recovered"] += 1
-                if _obs.ENABLED:
-                    _obs.SINK.inc("coordinator.multipath_recovered")
-                break
-            if retried.multipath_suspect:
-                # Suspicion stands; keep the freshest suspect evidence.
-                report = retried
+            return retried
+
+        report, recovered = rehash_recovery(
+            report, retry, ports_rng, self.multipath_rehash_retries
+        )
+        if recovered:
+            self.telemetry["multipath_recovered"] += 1
+            if _obs.ENABLED:
+                _obs.SINK.inc("coordinator.multipath_recovered")
         return report
 
     @staticmethod

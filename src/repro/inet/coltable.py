@@ -21,7 +21,7 @@ Row order is bit-for-bit identical to the row backend's join (left
 rows in order; duplicate right matches in right-table insertion order,
 courtesy of the stable sort), so topology construction produces the
 same database from either backend -- ``tests/inet`` asserts it, and
-the acceptance gate in ``repro.perf.topology`` measures the speedup.
+the ``topology`` claim of ``repro.claims`` gates the speedup.
 
 Appends go to plain python lists and are materialized into arrays
 lazily on first read.  Columns that defeat the native dtypes (mixed

@@ -93,7 +93,7 @@ class Simulator:
         self._running = False
         self._n_cancelled = 0
         #: Events executed by :meth:`run` over this simulator's lifetime
-        #: (cancelled events are not counted).  ``repro.perf`` reads the
+        #: (cancelled events are not counted).  ``repro.claims`` reads the
         #: module-level aggregate via :func:`events_processed_total`.
         self.events_processed = 0
 
@@ -201,8 +201,8 @@ class Simulator:
         return len(self._heap) - self._n_cancelled
 
 
-#: Process-wide event counter; ``repro.perf`` reads it to derive
-#: events/sec across simulators that live and die inside a workload.
+#: Process-wide event counter; ``repro.claims`` reads it to count the
+#: events of simulators that live and die inside a workload.
 _STATS = {"events": 0}
 
 

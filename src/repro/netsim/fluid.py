@@ -50,8 +50,8 @@ integration applies each window's arrivals and service as bulk
 quantities, so ordering error within a window is bounded by the window
 length -- at most the finest modulation period (0.2 s by default).
 
-Approximations (validated by the verdict-invariance gate in
-``repro.perf`` and CI's fidelity-gate job):
+Approximations (validated by the verdict-invariance gate, the
+``fidelity`` claim of ``repro.claims``):
 
 - the per-packet Bernoulli dscp marking becomes a deterministic
   mean-rate split of the aggregate;

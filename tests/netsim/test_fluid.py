@@ -12,7 +12,7 @@ model":
   bit-deterministic per seed;
 - *equivalence*: a pinned gate cell must produce identical detection
   verdicts in both fidelities while simulating >= 5x fewer events (the
-  full grid runs in ``repro.perf`` and CI's fidelity gate).
+  full grid runs in the ``fidelity`` claim, ``python -m repro.claims``).
 """
 
 import numpy as np
@@ -331,7 +331,7 @@ GATE_CELL = ScenarioConfig(
 
 
 class TestHybridEquivalence:
-    """One pinned gate cell; the full grid runs in repro.perf and CI."""
+    """One pinned gate cell; the full grid runs in the fidelity claim."""
 
     def test_verdicts_match_with_5x_fewer_events(self):
         before = events_processed_total()

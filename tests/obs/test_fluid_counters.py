@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import SweepRequest, run_sweep
 from repro.experiments.scenarios import ScenarioConfig
-from repro.perf.bench import canonical_record
+from repro.store import record_line
 
 DURATION = 4.0
 
@@ -78,6 +78,6 @@ class TestFluidCounterCorrectness:
 class TestMetricsTransparency:
     def test_metrics_never_change_a_hybrid_record_byte(self, metered):
         bare = run_sweep(SweepRequest.detection(_configs(), jobs=1))
-        assert [canonical_record(r) for r in bare.results] == [
-            canonical_record(r) for r in metered.results
+        assert [record_line(r) for r in bare.results] == [
+            record_line(r) for r in metered.results
         ]

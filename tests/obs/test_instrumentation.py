@@ -11,8 +11,7 @@ import pytest
 from repro import obs
 from repro.api import SweepRequest, run_sweep
 from repro.experiments.scenarios import ScenarioConfig
-from repro.perf.bench import canonical_record
-from repro.store import ExperimentStore
+from repro.store import ExperimentStore, record_line
 
 DURATION = 4.0
 
@@ -88,8 +87,8 @@ class TestDeterminismInvariant:
     def test_metrics_never_change_a_record_byte(self, metered):
         plain = run_sweep(SweepRequest.detection(_configs(), jobs=1))
         assert plain.metrics is None
-        assert [canonical_record(r) for r in plain.results] == [
-            canonical_record(r) for r in metered.results
+        assert [record_line(r) for r in plain.results] == [
+            record_line(r) for r in metered.results
         ]
 
     def test_sweep_leaves_global_state_disabled(self, metered):

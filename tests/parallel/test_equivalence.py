@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import SweepRequest, run_sweep
 from repro.experiments.scenarios import ScenarioConfig, seed_sweep
-from repro.perf.bench import canonical_record
+from repro.store import record_line
 
 DURATION = 8.0
 
@@ -25,7 +25,7 @@ def run_detection_sweep(configs, **kwargs):
 
 
 def _canon(records):
-    return [canonical_record(record) for record in records]
+    return [record_line(record) for record in records]
 
 
 class TestSerialParallelEquivalence:

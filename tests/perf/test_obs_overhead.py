@@ -3,9 +3,8 @@
 Two guards: (1) while metrics are disabled the hot path must never
 touch the sink at all -- proven by swapping in a sink that raises on
 any call; (2) a sanity timing bound with a deliberately generous
-margin (the strict <=2% budget is enforced by ``repro.perf --quick``
-against BENCH_netsim.json, not by a wall-clock test that would flake
-under CI load).
+margin.  No check enforces a tight overhead budget: a wall-clock bound
+that strict would flake under CI load.
 """
 
 import time
@@ -60,5 +59,5 @@ class TestDisabledPath:
         disabled = wall(None)
         enabled = wall(True)
         # Generous bound -- catches an accidental always-on code path,
-        # not a 2% regression (repro.perf owns the tight budget).
+        # not a 2% regression.
         assert disabled < enabled * 1.5 + 0.5
