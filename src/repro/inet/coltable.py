@@ -86,6 +86,19 @@ class DictColumn:
         )
 
 
+def _native(values):
+    """``values`` as a 1-D array: a native dtype when they fit one, else
+    object dtype with python semantics (mixed types, None, nesting)."""
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError):
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iufbUO":
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = list(values)
+    return arr
+
+
 def _as_column(values):
     """Materialize a python list (or array) as a column.
 
@@ -93,18 +106,29 @@ def _as_column(values):
     (or containing None) becomes an object array with python
     semantics.
     """
-    try:
-        arr = np.asarray(values)
-    except (ValueError, TypeError):
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iufbU":
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = list(values)
-        return arr
+    arr = _native(values)
     if arr.dtype.kind == "U":
-        uniques, codes = np.unique(arr, return_inverse=True)
-        return DictColumn(uniques, codes.astype(np.intp))
+        return DictColumn(*dictionary_codes(arr))
     return arr
+
+
+def dictionary_codes(values):
+    """``(values, codes)`` of a column: its sorted unique non-None values
+    and one index into them per row, ``None`` as -1 (a
+    :class:`DictColumn`'s encoding, computed with ``np.unique``)."""
+    if isinstance(values, DictColumn):
+        return values.values, values.codes
+    arr = _native(values)
+    if arr.dtype != object:
+        uniques, codes = np.unique(arr, return_inverse=True)
+        return uniques, codes.astype(np.intp, copy=False)
+    present = np.not_equal(arr, None)
+    uniques, inverse = np.unique(
+        _native(arr[present].tolist()), return_inverse=True
+    )
+    codes = np.full(len(arr), -1, dtype=np.intp)
+    codes[present] = inverse
+    return uniques, codes
 
 
 def _decoded(column):
@@ -220,6 +244,10 @@ class ColumnarTable:
     def array(self, name):
         """The column as a plain numpy array (decoding strings)."""
         return _decoded(self._column(name))
+
+    def codes(self, name):
+        """The column as ``(values, codes)``; see :func:`dictionary_codes`."""
+        return dictionary_codes(self._column(name))
 
     # -- columnar internals -------------------------------------------
 

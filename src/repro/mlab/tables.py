@@ -81,6 +81,13 @@ class Table:
             raise KeyError(name)
         return [row[name] for row in self._rows]
 
+    def codes(self, name):
+        """The column as ``(values, codes)``: sorted unique non-None
+        values and one index into them per row, ``None`` as -1."""
+        from repro.inet.coltable import dictionary_codes
+
+        return dictionary_codes(self.column(name))
+
     def where_equals(self, column, value):
         """Rows with ``row[column] == value``, as a new table."""
         return self._from_shared_rows(

@@ -19,18 +19,23 @@ Filters (both applied before the pair search):
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.obs import metrics as _obs
 
 
 def prefix_of(ip, length=24):
-    """The /24 (or /48-style) prefix key of an IPv4 address."""
+    """The CIDR prefix key of an IPv4 address (``10.1.2.0/24``); a /32
+    is the address itself."""
     parts = ip.split(".")
     if len(parts) != 4:
         raise ValueError(f"not an IPv4 address: {ip!r}")
     keep = {8: 1, 16: 2, 24: 3, 32: 4}.get(length)
     if keep is None:
         raise ValueError("prefix length must be one of 8, 16, 24, 32")
-    return ".".join(parts[:keep]) + f".0/{length}" if length < 32 else ip
+    if length == 32:
+        return ip
+    return ".".join(parts[:keep] + ["0"] * (4 - keep)) + f"/{length}"
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,13 @@ class TopologyDatabase:
 
     def add(self, topology):
         key = (topology.destination_prefix, topology.destination_asn)
-        self.entries.setdefault(key, []).append(topology)
+        self.extend(key, (topology,))
+
+    def extend(self, key, topologies):
+        """Append ``topologies``, all for destination ``key``, in order."""
+        self.entries.setdefault(key, []).extend(topologies)
         if _obs.ENABLED:
-            _obs.SINK.inc("mlab.tc.pairs_found")
+            _obs.SINK.inc("mlab.tc.pairs_found", len(topologies))
 
     def lookup(self, destination_ip, destination_asn):
         """Server pairs usable for a client at ``destination_ip``.
@@ -227,12 +236,17 @@ def build_topology_from_tables(traceroutes, annotations):
     annotation table again (renamed) on ``destination_ip``, and the
     filters and pair search run over the merged rows.  It accepts
     either table backend (``repro.mlab.tables.Table`` or
-    ``repro.inet.coltable.ColumnarTable``) and produces a database
-    identical to :meth:`TopologyConstructor.build` on the records the
-    tables were built from -- the grouping and pair logic below is
-    deliberately backend-agnostic python so any divergence between
-    backends is the join's fault, which is exactly what the parity
-    tests pin.
+    ``repro.inet.coltable.ColumnarTable``) and builds exactly the
+    database :meth:`TopologyConstructor.build` builds from the records
+    the tables came from: the same keys in the same order, each with
+    the same entries in the same order.
+
+    After the joins both backends run this one implementation, over
+    the integer codes of the tables' ``codes`` method instead of
+    decoded values.  IPs and ASNs are each re-coded into one shared
+    sorted vocabulary, so equal codes are equal values and code order
+    is value order.  Any divergence between the backends is therefore
+    the joins' fault, which is what the parity tests pin.
     """
     annotated = traceroutes.join_table(annotations, on="hop_ip", how="left")
     destination_side = annotations.renamed(
@@ -247,81 +261,209 @@ def build_topology_from_tables(traceroutes, annotations):
     )
     if _obs.ENABLED:
         _obs.SINK.inc("mlab.tc.rows_scanned", len(merged))
-
-    # Regroup the merged rows into per-traceroute hop lists.  Hop rows
-    # were inserted in (traceroute, hop_index) order and both join
-    # backends preserve left-row order, so groups come out contiguous
-    # and ordered.
-    tids = merged.column("traceroute_id")
-    servers = merged.column("server_name")
-    dest_ips = merged.column("destination_ip")
-    dest_asns = merged.column("destination_asn")
-    hop_ips = merged.column("hop_ip")
-    egress_ips = merged.column("egress_ip")
-    hop_asns = merged.column("asn")
-
-    order = []  # tids in first-seen order
-    groups = {}
-    for i, tid in enumerate(tids):
-        group = groups.get(tid)
-        if group is None:
-            group = groups[tid] = []
-            order.append(tid)
-        group.append(i)
-
     database = TopologyDatabase()
-    by_destination = {}
-    for tid in order:
-        rows = groups[tid]
-        last = rows[-1]
-        dest_asn = dest_asns[last]
-        # Filter (a): the last hop must resolve to the destination ASN.
-        if dest_asn is None or hop_asns[last] != dest_asn:
-            continue
-        # Filter (b): every reported hop must use one interface for
-        # both adjacent links (hop_ip == egress_ip; see
-        # ``traceroute_table``).
-        if any(hop_ips[i] != egress_ips[i] for i in rows):
-            continue
-        record = (
-            servers[last],
-            dest_ips[last],
-            tuple((hop_ips[i], hop_asns[i]) for i in rows),
-        )
-        by_destination.setdefault(dest_ips[last], (dest_asn, []))[1].append(
-            record
-        )
+    if not len(merged):
+        return database
 
-    for destination_ip, (destination_asn, dest_records) in by_destination.items():
-        seen_pairs = set()
-        for i, record_1 in enumerate(dest_records):
-            server_1, _, hops_1 = record_1
-            for record_2 in dest_records[i + 1 :]:
-                server_2, _, hops_2 = record_2
-                if server_1 == server_2:
-                    continue
-                pair = tuple(sorted((server_1, server_2)))
-                if pair in seen_pairs:
-                    continue
-                ips_1 = {ip for ip, _ in hops_1} - {destination_ip}
-                ips_2 = {ip for ip, _ in hops_2} - {destination_ip}
-                common = ips_1 & ips_2
-                if not common:
-                    continue
-                asn_of = dict(hops_1)
-                asn_of.update(dict(hops_2))
-                common_inside = {
-                    ip for ip in common if asn_of[ip] == destination_asn
-                }
-                if (common - common_inside) or not common_inside:
-                    continue
-                seen_pairs.add(pair)
-                database.add(
-                    SuitableTopology(
-                        destination_prefix=prefix_of(destination_ip),
-                        destination_asn=destination_asn,
-                        server_pair=pair,
-                        common_candidates=tuple(sorted(common_inside)),
-                    )
-                )
+    ips, (destination_ips, hop_ips, egress_ips) = _shared_codes(
+        merged, ("destination_ip", "hop_ip", "egress_ip")
+    )
+    asns, (destination_asns, hop_asns) = _shared_codes(
+        merged, ("destination_asn", "asn")
+    )
+    servers, server_names = merged.codes("server_name")
+    _, traceroute_ids = merged.codes("traceroute_id")
+
+    record_of_row, record_rows = _usable_records(
+        traceroute_ids, hop_ips, egress_ips, hop_asns, destination_asns
+    )
+    record_servers = server_names[record_rows]
+    record_destinations = destination_ips[record_rows]
+    # Destinations are numbered by their first record, whose
+    # destination ASN they take.
+    record_dests, dest_records = _first_seen_numbers(record_destinations)
+    dest_asns = destination_asns[record_rows[dest_records]]
+
+    # Incidence rows: each record's distinct hop IPs, its destination
+    # excluded, sorted by (record, IP).  A repeated IP keeps its last
+    # row, whose ASN says whether the IP is inside the destination's ISP.
+    rows = np.flatnonzero(record_of_row >= 0)
+    rows = rows[hop_ips[rows] != record_destinations[record_of_row[rows]]]
+    width = len(ips) + 1  # IP codes shift by one, so a None hop is 0
+    rows = rows[
+        np.argsort(record_of_row[rows] * width + hop_ips[rows] + 1, kind="stable")
+    ]
+    rows = rows[_runs(record_of_row[rows], hop_ips[rows])[1] - 1]
+    incidence_records = record_of_row[rows]
+    incidence_ips = hop_ips[rows]
+    incidence_inside = hop_asns[rows] == dest_asns[record_dests[incidence_records]]
+
+    firsts, seconds, starts, ends, shared_ips = _suitable_pairs(
+        incidence_records,
+        record_dests[incidence_records] * width + incidence_ips + 1,
+        incidence_ips,
+        incidence_inside,
+        record_servers,
+    )
+    # The first suitable pair in (i, j) order wins its server pair at
+    # its destination.  The database lists the winners by destination,
+    # then in (i, j) order.
+    lows = np.minimum(record_servers[firsts], record_servers[seconds])
+    highs = np.maximum(record_servers[firsts], record_servers[seconds])
+    dests = record_dests[firsts]
+    by_server_pair = np.lexsort((highs, lows, dests))
+    winners = np.sort(by_server_pair[
+        _runs(dests[by_server_pair], lows[by_server_pair], highs[by_server_pair])[0]
+    ])
+    winners = winners[np.argsort(dests[winners], kind="stable")]
+
+    # Decode only what the database keeps: one key per destination, and
+    # a server pair and candidate tuple per winner.
+    ip_values = np.array(ips.tolist() + [None], dtype=object)  # -1: None
+    server_values = np.array(servers.tolist(), dtype=object)
+    keys = [
+        (prefix_of(ip), asn)
+        for ip, asn in zip(
+            ip_values[record_destinations[dest_records]].tolist(),
+            asns[dest_asns].tolist(),
+        )
+    ]
+    # The winners' shared IPs, back to back; winner k's are
+    # candidates[bounds[k]:bounds[k + 1]].
+    starts, ends = starts[winners], ends[winners]
+    bounds = np.append(0, np.cumsum(ends - starts))
+    flat = np.repeat(starts - bounds[:-1], ends - starts) + np.arange(bounds[-1])
+    candidates = ip_values[shared_ips[flat]].tolist()
+    bounds = bounds.tolist()
+    winner_dests = dests[winners].tolist()
+    topologies = list(
+        map(
+            SuitableTopology,
+            [keys[dest][0] for dest in winner_dests],
+            [keys[dest][1] for dest in winner_dests],
+            zip(
+                server_values[lows[winners]].tolist(),
+                server_values[highs[winners]].tolist(),
+            ),
+            [tuple(candidates[a:b]) for a, b in zip(bounds[:-1], bounds[1:])],
+        )
+    )
+    for start, end in zip(*(run.tolist() for run in _runs(dests[winners]))):
+        database.extend(keys[winner_dests[start]], topologies[start:end])
     return database
+
+
+def _shared_codes(table, names):
+    """Codes of several columns of ``table`` in one vocabulary.
+
+    Returns ``(vocabulary, [codes, ...])``: the sorted union of the
+    columns' values, and each column's rows re-coded into it (``None``
+    stays -1).
+    """
+    coded = [table.codes(name) for name in names]
+    values = [values for values, _ in coded if len(values)]
+    vocabulary = np.unique(np.concatenate(values)) if values else np.empty(0)
+    return vocabulary, [
+        np.append(np.searchsorted(vocabulary, values), -1)[codes]
+        for values, codes in coded
+    ]
+
+
+def _usable_records(traceroute_ids, hop_ips, egress_ips, hop_asns, destination_asns):
+    """The traceroutes that pass filters (a) and (b): TC's records.
+
+    Returns ``(record_of_row, record_rows)``: each row's record number
+    (-1 in an unusable traceroute) and each record's last row, with the
+    records numbered in first-seen order.  A traceroute's rows need not
+    be contiguous; the stable sort keeps them in row order.
+    """
+    by_traceroute = np.argsort(traceroute_ids, kind="stable")
+    starts, ends = _runs(traceroute_ids[by_traceroute])
+    group_of_row = np.empty(len(traceroute_ids), dtype=np.intp)
+    group_of_row[by_traceroute] = np.repeat(np.arange(len(starts)), ends - starts)
+    last_rows = by_traceroute[ends - 1]
+    # Filter (a): the last hop must resolve to the destination ASN.
+    usable = (destination_asns[last_rows] >= 0) & (
+        hop_asns[last_rows] == destination_asns[last_rows]
+    )
+    # Filter (b): every reported hop must use one interface for both
+    # adjacent links (hop_ip == egress_ip; see ``traceroute_table``).
+    usable[group_of_row[hop_ips != egress_ips]] = False
+    groups = np.argsort(by_traceroute[starts])
+    groups = groups[usable[groups]]
+    record_of_group = np.full(len(starts), -1, dtype=np.intp)
+    record_of_group[groups] = np.arange(len(groups))
+    return record_of_group[group_of_row], last_rows[groups]
+
+
+def _first_seen_numbers(codes):
+    """Number the distinct values of ``codes`` in first-seen order.
+
+    Returns ``(numbers, firsts)``: each entry's number, and each
+    number's first entry.
+    """
+    _, firsts, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    numbers = np.empty(len(order), dtype=np.intp)
+    numbers[order] = np.arange(len(order))
+    return numbers[inverse], firsts[order]
+
+
+def _suitable_pairs(records, join_keys, ips, inside, servers):
+    """Self-join incidence rows into the suitable record pairs.
+
+    The incidence rows ``(records, ips, inside)`` come sorted by record;
+    ``join_keys`` encodes each row's (destination, IP).  Each two
+    records ``i < j`` of different ``servers`` that share a key give
+    one (i, j, IP) row, inside iff record j's row is (on a shared IP
+    record 2's ASN decides, as in ``pair_is_suitable``).  A pair is
+    suitable iff none of its rows is outside.
+
+    Returns ``(firsts, seconds, starts, ends, shared_ips)``: the
+    suitable pairs in (i, j) order, and each pair's shared IPs as
+    ``shared_ips[start:end]``, ascending.
+    """
+    by_key = np.argsort(join_keys, kind="stable")
+    left, right = _pairs_within_runs(*_runs(join_keys[by_key]))
+    left, right = by_key[left], by_key[right]
+    distinct = servers[records[left]] != servers[records[right]]
+    left, right = left[distinct], right[distinct]
+    # The stable sort by (i, j) keeps each pair's IPs ascending.
+    n_records = len(servers)
+    pair_keys = records[left] * n_records + records[right]
+    by_pair = np.argsort(pair_keys, kind="stable")
+    pair_keys = pair_keys[by_pair]
+    shared_ips = ips[left[by_pair]]
+    outside = ~inside[right[by_pair]]
+    starts, ends = _runs(pair_keys)
+    suitable = ~np.logical_or.reduceat(outside, starts) if len(starts) else starts
+    starts, ends = starts[suitable], ends[suitable]
+    return (
+        pair_keys[starts] // n_records,
+        pair_keys[starts] % n_records,
+        starts,
+        ends,
+        shared_ips,
+    )
+
+
+def _runs(*keys):
+    """``(starts, ends)`` of each run of equal entries in sorted keys."""
+    n = len(keys[0])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.append(starts[1:], n) if n else starts
+
+
+def _pairs_within_runs(starts, ends):
+    """Positions ``(p, q)``, ``p < q``, of every two entries of one run
+    (the runs tile the positions from 0)."""
+    sizes = ends - starts
+    positions = np.arange(sizes.sum())
+    later = np.repeat(ends, sizes) - positions - 1
+    p = np.repeat(positions, later)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(later) - later, later)
+    return p, q

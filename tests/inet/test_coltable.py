@@ -106,6 +106,45 @@ class TestParity:
         assert _rows(row_j.join_table(row_r2, on="y", how="left")) == \
             _rows(col_j.join_table(col_r2, on="y", how="left"))
 
+    @staticmethod
+    def _codes(table, name):
+        values, codes = table.codes(name)
+        return values.tolist(), codes.tolist()
+
+    def test_codes(self):
+        rows = [{"s": s, "n": n} for s, n in
+                [("b", 3), (None, 1), ("a", None), ("b", 3), (None, 2)]]
+        row_t, col_t = self._filled(("s", "n"), rows)
+        for name in ("s", "n"):
+            assert self._codes(row_t, name) == self._codes(col_t, name)
+        assert self._codes(col_t, "s") == (["a", "b"], [1, -1, 0, 1, -1])
+        assert self._codes(col_t, "n") == ([1, 2, 3], [2, 0, -1, 2, 1])
+
+    def test_codes_through_left_join_fills(self):
+        row_l, col_l = self._filled(("k",), [{"k": "a"}, {"k": "z"}])
+        row_r, col_r = self._filled(("k", "y"), [{"k": "a", "y": 7}])
+        row_j = row_l.join_table(row_r, on="k", how="left")
+        col_j = col_l.join_table(col_r, on="k", how="left")
+        assert self._codes(row_j, "y") == self._codes(col_j, "y") == \
+            ([7], [0, -1])
+
+    def test_codes_empty_table(self):
+        for table in _pair(("s",)):
+            values, codes = table.codes("s")
+            assert len(values) == len(codes) == 0
+            with pytest.raises(KeyError):
+                table.codes("missing")
+
+    def test_codes_after_materialize_then_append(self):
+        row_t, col_t = _pair(("s", "n"))
+        for table in (row_t, col_t):
+            table.extend([{"s": "m", "n": 2}, {"s": "c", "n": 1}])
+            table.materialize()
+            table.extend([{"s": "a", "n": 2}, {"s": None, "n": 5}])
+        for name in ("s", "n"):
+            assert self._codes(row_t, name) == self._codes(col_t, name)
+        assert self._codes(col_t, "s") == (["a", "c", "m"], [2, 1, 0, -1])
+
     def test_unsupported_join_type(self):
         row_t, col_t = self._filled(("k",), [{"k": "a"}])
         for table in (row_t, col_t):

@@ -31,6 +31,15 @@ def internet():
 
 
 @pytest.fixture(scope="module")
+def messy_internet():
+    graph = generate_as_graph(0, n_ases=300)
+    return PolicyInternet(
+        graph=graph, seed=0, n_client_isps=8, clients_per_isp=3,
+        icmp_block_fraction=0.25, alias_fraction=0.3,
+    )
+
+
+@pytest.fixture(scope="module")
 def database(internet):
     records = _collect(internet)
     return TopologyConstructor(AnnotationDatabase(internet)).build(records)
@@ -74,33 +83,26 @@ class TestOracleScore:
         assert score["precision"] == 1.0
         assert score["recall"] >= 0.9
 
-    def test_messiness_costs_recall_not_precision(self):
-        graph = generate_as_graph(0, n_ases=300)
-        internet = PolicyInternet(
-            graph=graph, seed=0, n_client_isps=8, clients_per_isp=3,
-            icmp_block_fraction=0.25, alias_fraction=0.3,
-        )
-        database = TopologyConstructor(AnnotationDatabase(internet)).build(
-            _collect(internet)
-        )
-        score = TopologyOracle(internet).score(database)
+    def test_messiness_costs_recall_not_precision(self, messy_internet):
+        database = TopologyConstructor(
+            AnnotationDatabase(messy_internet)
+        ).build(_collect(messy_internet))
+        score = TopologyOracle(messy_internet).score(database)
         assert score["precision"] == 1.0
 
-    def test_table_paths_match_object_path(self, internet, database):
-        records = _collect(internet)
-        annotations = AnnotationDatabase(internet)
-        reference = sorted(
-            (key, e.server_pair)
-            for key, entries in database.entries.items()
-            for e in entries
-        )
-        for backend in ("row", "columnar"):
-            built = build_topology_from_tables(
-                traceroute_table(records, backend=backend),
-                annotation_table(annotations, backend=backend),
-            )
-            assert sorted(
-                (key, e.server_pair)
-                for key, entries in built.entries.items()
-                for e in entries
-            ) == reference
+    def test_table_paths_match_object_path(self, internet, messy_internet):
+        """Both backends build the record path's database exactly:
+        key order, per-key list order and every entry field."""
+        for net in (internet, messy_internet):
+            records = _collect(net)
+            annotations = AnnotationDatabase(net)
+            reference = TopologyConstructor(annotations).build(records)
+            assert len(reference) > 100
+            for backend in ("row", "columnar"):
+                built = build_topology_from_tables(
+                    traceroute_table(records, backend=backend),
+                    annotation_table(annotations, backend=backend),
+                )
+                assert list(built.entries.items()) == list(
+                    reference.entries.items()
+                ), backend

@@ -40,7 +40,8 @@ class TestPrefix:
         assert prefix_of("10.1.2.3") == "10.1.2.0/24"
 
     def test_other_lengths(self):
-        assert prefix_of("10.1.2.3", 16) == "10.1.0/16"
+        assert prefix_of("10.1.2.3", 8) == "10.0.0.0/8"
+        assert prefix_of("10.1.2.3", 16) == "10.1.0.0/16"
         assert prefix_of("10.1.2.3", 32) == "10.1.2.3"
 
     def test_rejects_garbage(self):
