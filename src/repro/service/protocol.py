@@ -35,6 +35,7 @@ generator and the service test suite.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.experiments.scenarios import ScenarioConfig
 from repro.wehe.apps import APP_SPECS
@@ -100,7 +101,17 @@ class Submission:
     knobs: dict = field(default_factory=dict)
 
     def to_scenario(self):
-        """The ground-truth :class:`ScenarioConfig` this submission asks for."""
+        """The ground-truth :class:`ScenarioConfig` this submission asks for.
+
+        Built once: the config :func:`parse_submission` validates is the
+        one the service keys, queues and resumes.
+        """
+        return self._scenario
+
+    @cached_property
+    def _scenario(self):
+        # Cached in the instance __dict__, outside the dataclass fields:
+        # equality, repr and as_dict() never see it.
         return ScenarioConfig(app=self.app, **self.knobs)
 
     @property

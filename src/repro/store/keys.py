@@ -19,14 +19,20 @@ sweep order: a cell's record is a pure function of its key inputs (the
 determinism contract from ``repro.parallel``).
 """
 
-import dataclasses
 import hashlib
 import os
 from functools import lru_cache
 from pathlib import Path
 
 from repro.faults import FaultProfile
-from repro.store.serialize import STORE_SCHEMA_VERSION, canonical_json, config_to_dict
+from repro.store.serialize import (
+    STORE_SCHEMA_VERSION,
+    canonical_json,
+    config_to_dict,
+    fields_to_dict,
+    plain,
+    plain_json,
+)
 
 #: Packages whose source determines simulation output.  ``repro.store``
 #: itself is excluded on purpose: changing how results are *cached*
@@ -68,7 +74,7 @@ def fault_profile_id(fault_profile):
     if isinstance(fault_profile, str):
         fault_profile = FaultProfile.parse(fault_profile)
     rules = sorted(
-        (dataclasses.asdict(rule) for rule in fault_profile.rules),
+        (fields_to_dict(rule) for rule in fault_profile.rules),
         key=lambda rule: rule["site"],
     )
     if not rules:
@@ -77,7 +83,13 @@ def fault_profile_id(fault_profile):
 
 
 def _digest(payload):
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    """SHA-256 of ``payload``'s canonical JSON.
+
+    ``payload`` must already be plain: each key builder coerces every
+    caller-supplied value (``plain``, ``int``, ``bool``,
+    :func:`config_to_dict`) so no second :func:`plain` pass runs here.
+    """
+    return hashlib.sha256(plain_json(payload).encode()).hexdigest()
 
 
 def detection_cache_key(
@@ -100,13 +112,13 @@ def detection_cache_key(
         {
             "kind": "detection",
             "config": config_to_dict(config),
-            "detectors": sorted(detectors),
+            "detectors": plain(sorted(detectors)),
             "modified": bool(modified),
             "entropy": int(entropy),
             "merge_flows": bool(merge_flows),
             "fault_profile": fault_profile_id(fault_profile),
-            "fingerprint": fingerprint or code_fingerprint(),
-            "schema_version": schema_version,
+            "fingerprint": plain(fingerprint or code_fingerprint()),
+            "schema_version": plain(schema_version),
         }
     )
 
@@ -124,13 +136,13 @@ def wild_cache_key(
     return _digest(
         {
             "kind": "wild",
-            "isp": isp,
-            "app": app,
+            "isp": plain(isp),
+            "app": plain(app),
             "seed": int(seed),
             "sanity_check": bool(sanity_check),
-            "fidelity": fidelity,
-            "fingerprint": fingerprint or code_fingerprint(),
-            "schema_version": schema_version,
+            "fidelity": plain(fidelity),
+            "fingerprint": plain(fingerprint or code_fingerprint()),
+            "schema_version": plain(schema_version),
         }
     )
 
@@ -141,7 +153,7 @@ def tdiff_cache_key(config, fingerprint=None, schema_version=STORE_SCHEMA_VERSIO
         {
             "kind": "tdiff",
             "config": config_to_dict(config),
-            "fingerprint": fingerprint or code_fingerprint(),
-            "schema_version": schema_version,
+            "fingerprint": plain(fingerprint or code_fingerprint()),
+            "schema_version": plain(schema_version),
         }
     )

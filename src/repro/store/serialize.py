@@ -13,6 +13,7 @@ record compare byte-identical to a freshly computed one.
 
 import dataclasses
 import json
+from functools import lru_cache
 
 from repro.experiments.runner import DetectionExperimentRecord
 from repro.experiments.scenarios import ScenarioConfig
@@ -23,17 +24,38 @@ from repro.experiments.scenarios import ScenarioConfig
 STORE_SCHEMA_VERSION = 1
 
 
+#: Exact types :func:`plain` returns untouched (subclasses such as
+#: ``IntEnum`` members, ``np.float64`` or ``str`` subclasses are not in
+#: here; they take the ``isinstance`` chain in :func:`_plain_other`).
+_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+#: One shared encoder: ``json.dumps(obj, sort_keys=True)`` would build
+#: an identical one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def plain(obj):
     """Reduce ``obj`` to pure-JSON types (dict/list/str/int/float/bool).
 
     Numpy scalars are unwrapped via ``.item()`` so that a computed
     record (which may carry ``np.bool_`` verdicts or ``np.float64``
     rates) serializes identically to the same record loaded back from
-    JSON.
+    JSON.  Exact JSON types are dispatched on ``type()`` first; every
+    other type gets the same result from :func:`_plain_other`.
     """
-    if obj is None or isinstance(obj, str):
+    cls = type(obj)
+    if cls in _PLAIN_SCALARS:
         return obj
-    if isinstance(obj, bool):
+    if cls is dict:
+        return {str(key): plain(value) for key, value in obj.items()}
+    if cls is list or cls is tuple:
+        return [plain(value) for value in obj]
+    return _plain_other(obj)
+
+
+def _plain_other(obj):
+    # None and bool are already handled: both types are exact (final).
+    if isinstance(obj, str):
         return obj
     if isinstance(obj, int):
         return int(obj)
@@ -50,7 +72,36 @@ def plain(obj):
 
 def canonical_json(obj):
     """The one true JSON encoding: plain types, sorted keys."""
-    return json.dumps(plain(obj), sort_keys=True)
+    return _ENCODER.encode(plain(obj))
+
+
+def plain_json(data):
+    """:func:`canonical_json` of ``data`` that is already plain.
+
+    For callers that built ``data`` from :func:`plain` results, so the
+    second :func:`plain` pass would copy it for nothing.
+    """
+    return _ENCODER.encode(data)
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls):
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def fields_to_dict(obj, skip=()):
+    """A dataclass instance's declared fields as a plain-JSON dict.
+
+    The dict ``plain(dataclasses.asdict(obj))`` gives, without
+    ``asdict``'s deep copies.  A field holding a nested dataclass makes
+    :func:`plain` raise ``TypeError``; leave it out via ``skip`` and
+    encode it separately, as :func:`record_to_dict` does ``config``.
+    """
+    return {
+        name: plain(getattr(obj, name))
+        for name in _field_names(type(obj))
+        if name not in skip
+    }
 
 
 def config_to_dict(config):
@@ -64,7 +115,7 @@ def config_to_dict(config):
     ``multipath`` is 0/absent): pre-multipath keys and record streams
     stay byte-identical.
     """
-    data = plain(dataclasses.asdict(config))
+    data = fields_to_dict(config)
     if data.get("shaper") is None:
         data.pop("shaper", None)
         data.pop("shaper_params", None)
@@ -93,8 +144,8 @@ def config_from_dict(data):
 
 def record_to_dict(record):
     """A :class:`DetectionExperimentRecord` as a plain-JSON dict."""
-    data = plain(dataclasses.asdict(record))
-    data["config"] = config_to_dict(record.config)
+    data = {"config": config_to_dict(record.config)}
+    data.update(fields_to_dict(record, skip=("config",)))
     data["kind"] = "detection"
     return data
 
@@ -115,4 +166,4 @@ def record_line(record):
     that has been through a store round-trip produces the same line as
     the record computed cold.
     """
-    return canonical_json(record_to_dict(record))
+    return plain_json(record_to_dict(record))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.experiments.scenarios import ScenarioConfig
+from repro.service import protocol
 from repro.service.core import ServiceConfig, ServiceCore
 from repro.service.degradation import CircuitBreaker, ServiceState
 from repro.service.protocol import Status, parse_submission
@@ -213,6 +215,25 @@ class TestDrainResume:
         fresh.batch_done(batch, ok_outcomes(batch), now=101.0)
         (resp,) = fresh.take_responses()
         assert resp.id == rid and resp.status == Status.VERDICT
+
+    def test_scenario_built_once_per_submission(self, monkeypatch):
+        built = []
+
+        class CountingConfig(ScenarioConfig):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(protocol, "ScenarioConfig", CountingConfig)
+        source = ServiceCore(config())
+        source.submit(submission(deadline_s=30), now=0.0)
+        assert len(built) == 1  # parse_submission's, reused by submit
+        (request,) = [r for _t, r in source.queue.drain_all()]
+        assert request.scenario is built[0]
+        fresh = ServiceCore(config())
+        fresh.resume([{"submission": request.submission.as_dict()}], now=1.0)
+        assert len(built) == 2  # one more for the re-parsed submission
+        assert fresh.next_batch(now=1.0).requests[0].scenario is built[1]
 
     def test_resume_expires_spent_budgets(self):
         core = ServiceCore(config())
