@@ -41,13 +41,20 @@ Common options on every request:
   ``interrupted=True``.
 """
 
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.obs import MetricsSink, use_sink, write_jsonl
 from repro.obs import metrics as _obs
+from repro.parallel.executor import (
+    SweepExecutor,
+    _detection_cell,
+    _run_cached_sweep,
+    _run_plain_sweep,
+)
 from repro.parallel.supervisor import DEFAULT_MAX_CELL_RETRIES
-
-_KINDS = ("detection", "wild", "tdiff")
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,8 @@ class SweepRequest:
     Build requests with the :meth:`detection` / :meth:`wild` /
     :meth:`tdiff` constructors rather than directly -- they enforce
     per-kind parameter validity (e.g. ``fault_profile`` exists only for
-    detection sweeps).
+    detection sweeps) and build ``params["cells"]``, the list of cells
+    the sweep computes.
     """
 
     kind: str
@@ -74,7 +82,7 @@ class SweepRequest:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(
-                f"unknown sweep kind {self.kind!r}; expected one of {_KINDS}"
+                f"unknown sweep kind {self.kind!r}; expected one of {tuple(_KINDS)}"
             )
         if self.on_result is not None and not callable(self.on_result):
             raise TypeError("on_result must be callable")
@@ -119,7 +127,7 @@ class SweepRequest:
         return cls(
             kind="detection",
             params={
-                "configs": configs,
+                "cells": configs,
                 "detectors": detectors,
                 "modified": modified,
                 "entropy": entropy,
@@ -159,12 +167,20 @@ class SweepRequest:
         ``isp_names=None`` means every Table-1 ISP.  Results are
         per-cell summary dicts in grid order (isp-major).
         """
+        if isp_names is None:
+            from repro.experiments.wild import WILD_ISPS
+
+            isp_names = WILD_ISPS
+        apps, seeds = tuple(apps), list(seeds)
         return cls(
             kind="wild",
             params={
-                "isp_names": None if isp_names is None else list(isp_names),
-                "apps": tuple(apps),
-                "seeds": list(seeds),
+                "cells": [
+                    (isp, app, seed)
+                    for isp in isp_names
+                    for app in apps
+                    for seed in seeds
+                ],
                 "sanity_check": sanity_check,
                 "fidelity": fidelity,
             },
@@ -198,18 +214,27 @@ class SweepRequest:
     ):
         """A T_diff estimation sweep (back-to-back replay pairs).
 
-        Results are a float ndarray of ``n_pairs`` t_diff samples (a
-        plain list when cells were quarantined or the sweep drained).
+        Each pair replays on an undifferentiated path (no limiter) with
+        seed ``base_seed + pair``.  Results are a float ndarray of
+        ``n_pairs`` t_diff samples (a plain list when cells were
+        quarantined or the sweep drained).
         """
+        from repro.experiments.scenarios import ScenarioConfig
+
+        configs = [
+            ScenarioConfig(
+                app=app,
+                limiter=None,
+                input_rate_factor=1.5,
+                duration=duration,
+                seed=base_seed + pair,
+                fidelity=fidelity,
+            )
+            for pair in range(int(n_pairs))
+        ]
         return cls(
             kind="tdiff",
-            params={
-                "n_pairs": int(n_pairs),
-                "app": app,
-                "duration": duration,
-                "base_seed": base_seed,
-                "fidelity": fidelity,
-            },
+            params={"cells": configs},
             jobs=jobs,
             store=store,
             no_cache=no_cache,
@@ -259,73 +284,126 @@ class SweepResult:
         return iter(self.results)
 
 
-def _run_detection(request):
-    from repro.parallel.executor import _detection_sweep
+@dataclass(frozen=True)
+class _Kind:
+    """What one sweep kind plugs into :func:`run_sweep`.
 
-    return _detection_sweep(
-        request.params["configs"],
-        detectors=request.params["detectors"],
-        modified=request.params["modified"],
-        entropy=request.params["entropy"],
-        merge_flows=request.params["merge_flows"],
-        fault_profile=request.params["fault_profile"],
-        jobs=request.jobs,
-        store=request.store,
-        no_cache=request.no_cache,
-        on_result=request.on_result,
-        cell_timeout=request.cell_timeout,
-        max_cell_retries=request.max_cell_retries,
-        strict=request.strict,
+    ``task(cell)`` computes one cell and must pickle (pool workers run
+    it); ``key(cell, fingerprint=, schema_version=)`` is the cell's
+    store key; ``encode``/``decode`` translate a result to and from the
+    store's plain-JSON payload; ``ledger`` names the kind in the store's
+    run ledger; ``finish``, when set, converts the results list of a
+    sweep that completed with no quarantined cell.
+    """
+
+    task: object
+    key: object
+    encode: object
+    decode: object
+    ledger: str
+    finish: object = None
+
+
+def _detection_kind(params):
+    # Timing harnesses patch repro.store.detection_cache_key, so look
+    # it up per sweep, not at import.
+    from repro.store import detection_cache_key, record_from_dict, record_to_dict
+
+    detectors = params["detectors"]
+    knobs = {
+        name: params[name]
+        for name in ("modified", "entropy", "merge_flows", "fault_profile")
+    }
+    return _Kind(
+        task=functools.partial(_detection_cell, detectors=detectors, **knobs),
+        key=functools.partial(
+            detection_cache_key,
+            detectors=sorted(detectors) if detectors else ["loss_trend"],
+            **knobs,
+        ),
+        encode=record_to_dict,
+        decode=record_from_dict,
+        ledger="detection_sweep",
     )
 
 
-def _run_wild(request):
-    from repro.experiments.wild import WILD_ISPS
-    from repro.parallel.executor import _wild_sweep
+def _wild_kind(params):
+    from repro.experiments.wild import _wild_cell
+    from repro.store import wild_cache_key
+    from repro.store.serialize import plain
 
-    isp_names = request.params["isp_names"]
-    if isp_names is None:
-        isp_names = list(WILD_ISPS)
-    return _wild_sweep(
-        isp_names,
-        request.params["apps"],
-        request.params["seeds"],
-        sanity_check=request.params["sanity_check"],
-        fidelity=request.params.get("fidelity", "packet"),
-        jobs=request.jobs,
-        store=request.store,
-        no_cache=request.no_cache,
-        on_result=request.on_result,
-        cell_timeout=request.cell_timeout,
-        max_cell_retries=request.max_cell_retries,
-        strict=request.strict,
+    knobs = {"sanity_check": params["sanity_check"], "fidelity": params["fidelity"]}
+    return _Kind(
+        task=functools.partial(_wild_cell, **knobs),
+        key=lambda cell, **stamp: wild_cache_key(*cell, **knobs, **stamp),
+        encode=lambda summary: {"kind": "wild", "cell": plain(summary)},
+        decode=lambda payload: payload["cell"],
+        ledger="wild_sweep",
     )
 
 
-def _run_tdiff(request):
-    from repro.experiments.tdiff import _tdiff_sweep
+def _tdiff_kind(params):
+    from repro.experiments.tdiff import _tdiff_pair
+    from repro.store import tdiff_cache_key
 
-    return _tdiff_sweep(
-        n_pairs=request.params["n_pairs"],
-        app=request.params["app"],
-        duration=request.params["duration"],
-        base_seed=request.params["base_seed"],
-        fidelity=request.params.get("fidelity", "packet"),
-        jobs=request.jobs if request.jobs is not None else 1,
-        store=request.store,
-        no_cache=request.no_cache,
-        on_result=request.on_result,
-        cell_timeout=request.cell_timeout,
-        max_cell_retries=request.max_cell_retries,
-        strict=request.strict,
+    return _Kind(
+        task=_tdiff_pair,
+        key=tdiff_cache_key,
+        encode=lambda value: {"kind": "tdiff", "value": float(value)},
+        decode=lambda payload: payload["value"],
+        ledger="tdiff",
+        finish=np.asarray,
     )
 
 
-_DISPATCH = {
-    "detection": _run_detection,
-    "wild": _run_wild,
-    "tdiff": _run_tdiff,
+_KINDS = {
+    "detection": _detection_kind,
+    "wild": _wild_kind,
+    "tdiff": _tdiff_kind,
 }
+
+
+def _execute(request):
+    """Run every cell of ``request``; returns the 5-tuple
+    ``(results, hits, misses, failures, interrupted)``."""
+    kind = _KINDS[request.kind](request.params)
+    cells = request.params["cells"]
+    store = request.store
+    executor = SweepExecutor(
+        request.jobs,
+        cell_timeout=request.cell_timeout,
+        max_cell_retries=request.max_cell_retries,
+        strict=request.strict,
+    )
+    if store is None:
+        outcome = _run_plain_sweep(
+            kind.task, cells, executor, on_result=request.on_result
+        )
+    else:
+        keys = [
+            kind.key(
+                cell,
+                fingerprint=store.fingerprint,
+                schema_version=store.schema_version,
+            )
+            for cell in cells
+        ]
+        outcome = _run_cached_sweep(
+            kind.task,
+            cells,
+            keys,
+            store,
+            executor,
+            kind=kind.ledger,
+            decode=kind.decode,
+            encode=kind.encode,
+            no_cache=request.no_cache,
+            on_result=request.on_result,
+        )
+    results, hits, misses, failures, interrupted = outcome
+    if kind.finish is not None and not failures and not interrupted:
+        results = kind.finish(results)
+    return results, hits, misses, failures, interrupted
 
 
 def run_sweep(request):
@@ -339,15 +417,14 @@ def run_sweep(request):
     active, the sweep's snapshot is folded into it too, so nested
     collection composes.  Metrics never alter sweep results.
     """
-    impl = _DISPATCH[request.kind]
     collect = request.metrics is not None and request.metrics is not False
     if not collect:
-        results, hits, misses, failures, interrupted = impl(request)
+        results, hits, misses, failures, interrupted = _execute(request)
         snapshot = None
     else:
         outer = _obs.SINK if _obs.ENABLED else None
         with use_sink(MetricsSink()) as sink:
-            results, hits, misses, failures, interrupted = impl(request)
+            results, hits, misses, failures, interrupted = _execute(request)
             snapshot = sink.snapshot()
         if isinstance(request.metrics, str) and request.metrics:
             write_jsonl(snapshot, request.metrics)

@@ -36,7 +36,7 @@ from repro.experiments.runner import (
 )
 from repro.netsim.background import CountingSink, ModulatedPoissonBackground
 from repro.netsim.engine import Simulator
-from repro.netsim.fluid import FluidPoissonBackground
+from repro.netsim.fluid import FluidPoissonBackground, harvest_fluid
 from repro.netsim.path import Path
 from repro.netsim.topology import FigureOneTopology, TopologyConfig
 from repro.obs import harvest_topology
@@ -221,6 +221,14 @@ class WildReplayService:
             )
         return sim, topology
 
+    def _run(self, sim, topology):
+        elapsed = WARMUP + self.duration + DRAIN
+        sim.run(until=elapsed)
+        if _obs.ENABLED:
+            harvest_topology(_obs.SINK, topology, elapsed)
+            if self.fidelity == "hybrid":
+                harvest_fluid(_obs.SINK, topology)
+
     def single_replay(self, trace):
         sim, topology = self._new_environment()
         trace = _prepare_trace(trace, self._trace_rng, self.modified)
@@ -228,10 +236,7 @@ class WildReplayService:
             sim, topology, 1, trace, start_at=WARMUP, duration=self.duration,
             ack_jitter=self._ack_jitter,
         )
-        elapsed = WARMUP + self.duration + DRAIN
-        sim.run(until=elapsed)
-        if _obs.ENABLED:
-            harvest_topology(_obs.SINK, topology, elapsed)
+        self._run(sim, topology)
         self.last_single_handle = handle
         return handle.throughput_samples()
 
@@ -255,10 +260,7 @@ class WildReplayService:
                 start_at=WARMUP + 2 * offset, duration=self.duration,
                 ack_jitter=self._ack_jitter,
             )
-        elapsed = WARMUP + self.duration + DRAIN
-        sim.run(until=elapsed)
-        if _obs.ENABLED:
-            harvest_topology(_obs.SINK, topology, elapsed)
+        self._run(sim, topology)
         h1, h2 = handles
         self.last_simultaneous_handles = handles
         return SimultaneousRunResult(
@@ -308,3 +310,19 @@ def run_wild_test(
     from repro.wehe.traces import bit_invert
 
     return localizer.localize(service, original, bit_invert(original))
+
+
+def _wild_cell(cell, sanity_check, fidelity):
+    """One wild-sweep cell ``(isp, app, seed)`` as a summary dict."""
+    isp_name, app, seed = cell
+    report = run_wild_test(
+        isp_name, app=app, seed=seed, sanity_check=sanity_check, fidelity=fidelity
+    )
+    return {
+        "isp": isp_name,
+        "app": app,
+        "seed": seed,
+        "localized": report.localized,
+        "outcome": report.outcome.value,
+        "mechanism": report.mechanism.value,
+    }

@@ -19,7 +19,6 @@ supervision (crash recovery, per-cell timeouts, quarantine, graceful
 drain) lives in :mod:`repro.parallel.supervisor`.
 """
 
-import functools
 import logging
 import multiprocessing
 import os
@@ -136,7 +135,7 @@ class SweepExecutor:
         self.chaos = chaos_profile if chaos_profile is not None else chaos_from_env()
         self.max_worker_restarts = max_worker_restarts
 
-    def map(self, task, items, chunksize=1, on_result=None):
+    def map(self, task, items, on_result=None):
         """Run ``task(item)`` for every item; returns results in order.
 
         ``on_result(index, item, result)``, when given, fires as each
@@ -152,10 +151,7 @@ class SweepExecutor:
         unless ``strict``, a cell that exhausts its retries lands in
         the results list as a :class:`CellFailure` instead of aborting
         the sweep, and a drain signal raises :class:`SweepInterrupted`
-        carrying the partial results.  ``chunksize`` is accepted for
-        backward compatibility and ignored -- the supervising
-        dispatcher hands workers one cell at a time so the watchdog
-        knows exactly what each worker is doing.
+        carrying the partial results.
 
         When observability is enabled (:mod:`repro.obs`), pool workers
         run each item under a private sink and the parent merges the
@@ -186,6 +182,11 @@ class SweepExecutor:
 
 
 def _detection_cell(config, detectors, modified, entropy, merge_flows, fault_profile):
+    """One detection-sweep cell.
+
+    ``run_detection_experiment`` is looked up in this module at call
+    time, so a wrapper patched onto it here reaches forked workers.
+    """
     return run_detection_experiment(
         config,
         detectors=detectors,
@@ -289,153 +290,3 @@ def _run_plain_sweep(task, items, executor, on_result=None):
         results = exc.results
         interrupted = True
     return results, 0, len(items), _collect_failures(results), interrupted
-
-
-def _detection_sweep(
-    configs,
-    jobs=None,
-    detectors=None,
-    modified=True,
-    entropy=0,
-    merge_flows=False,
-    fault_profile=None,
-    store=None,
-    no_cache=False,
-    on_result=None,
-    cell_timeout=None,
-    max_cell_retries=DEFAULT_MAX_CELL_RETRIES,
-    strict=False,
-):
-    """Detection-sweep implementation; returns the 5-tuple
-    ``(records, hits, misses, failures, interrupted)``.
-
-    This is the engine behind :func:`repro.api.run_sweep`; call that
-    instead.  Semantics are documented on
-    :meth:`repro.api.SweepRequest.detection` and in :mod:`repro.api`.
-    """
-    configs = list(configs)
-    task = functools.partial(
-        _detection_cell,
-        detectors=detectors,
-        modified=modified,
-        entropy=entropy,
-        merge_flows=merge_flows,
-        fault_profile=fault_profile,
-    )
-    executor = SweepExecutor(
-        jobs,
-        cell_timeout=cell_timeout,
-        max_cell_retries=max_cell_retries,
-        strict=strict,
-    )
-    if store is None:
-        return _run_plain_sweep(task, configs, executor, on_result=on_result)
-    from repro.store import (
-        detection_cache_key,
-        record_from_dict,
-        record_to_dict,
-    )
-
-    detector_names = sorted(detectors) if detectors else ["loss_trend"]
-    keys = [
-        detection_cache_key(
-            config,
-            detectors=detector_names,
-            modified=modified,
-            entropy=entropy,
-            merge_flows=merge_flows,
-            fault_profile=fault_profile,
-            fingerprint=store.fingerprint,
-            schema_version=store.schema_version,
-        )
-        for config in configs
-    ]
-    return _run_cached_sweep(
-        task,
-        configs,
-        keys,
-        store,
-        executor,
-        kind="detection_sweep",
-        decode=record_from_dict,
-        encode=record_to_dict,
-        no_cache=no_cache,
-        on_result=on_result,
-    )
-
-
-def _wild_cell(cell, sanity_check, fidelity="packet"):
-    from repro.experiments.wild import run_wild_test
-
-    isp_name, app, seed = cell
-    report = run_wild_test(
-        isp_name, app=app, seed=seed, sanity_check=sanity_check, fidelity=fidelity
-    )
-    return {
-        "isp": isp_name,
-        "app": app,
-        "seed": seed,
-        "localized": report.localized,
-        "outcome": report.outcome.value,
-        "mechanism": report.mechanism.value,
-    }
-
-
-def _wild_sweep(
-    isp_names,
-    apps,
-    seeds,
-    jobs=None,
-    sanity_check=False,
-    fidelity="packet",
-    store=None,
-    no_cache=False,
-    on_result=None,
-    cell_timeout=None,
-    max_cell_retries=DEFAULT_MAX_CELL_RETRIES,
-    strict=False,
-):
-    """Wild-sweep implementation; returns the 5-tuple
-    ``(summaries, hits, misses, failures, interrupted)``.
-
-    The engine behind :func:`repro.api.run_sweep`; call that instead.
-    """
-    cells = [
-        (isp, app, seed) for isp in isp_names for app in apps for seed in seeds
-    ]
-    task = functools.partial(_wild_cell, sanity_check=sanity_check, fidelity=fidelity)
-    executor = SweepExecutor(
-        jobs,
-        cell_timeout=cell_timeout,
-        max_cell_retries=max_cell_retries,
-        strict=strict,
-    )
-    if store is None:
-        return _run_plain_sweep(task, cells, executor, on_result=on_result)
-    from repro.store import wild_cache_key
-    from repro.store.serialize import plain
-
-    keys = [
-        wild_cache_key(
-            isp,
-            app,
-            seed,
-            sanity_check=sanity_check,
-            fidelity=fidelity,
-            fingerprint=store.fingerprint,
-            schema_version=store.schema_version,
-        )
-        for isp, app, seed in cells
-    ]
-    return _run_cached_sweep(
-        task,
-        cells,
-        keys,
-        store,
-        executor,
-        kind="wild_sweep",
-        decode=lambda payload: payload["cell"],
-        encode=lambda cell: {"kind": "wild", "cell": plain(cell)},
-        no_cache=no_cache,
-        on_result=on_result,
-    )

@@ -12,7 +12,6 @@ in the test suite):
   correlation with p-value (Algorithm 1's trend test),
 - :func:`~repro.stats.montecarlo.relative_mean_difference_distribution`
   -- the O_diff Monte-Carlo machinery of Section 4.1,
-- :mod:`~repro.stats.bootstrap` -- jackknife / bootstrap error bars,
 - :mod:`~repro.stats.fingerprint` -- shaper fingerprinting at a
   localized bottleneck (nearest-centroid over windowed replay
   features).

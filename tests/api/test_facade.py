@@ -39,12 +39,12 @@ class TestSweepRequest:
     def test_detection_fidelity_overrides_every_config(self):
         request = SweepRequest.detection(_configs(), fidelity="hybrid")
         assert all(
-            config.fidelity == "hybrid" for config in request.params["configs"]
+            config.fidelity == "hybrid" for config in request.params["cells"]
         )
         # Without the knob, per-config fidelity is left alone.
         mixed = _configs() + [_configs()[0].with_(fidelity="hybrid")]
         request = SweepRequest.detection(mixed)
-        assert [c.fidelity for c in request.params["configs"]] == [
+        assert [c.fidelity for c in request.params["cells"]] == [
             "packet",
             "packet",
             "hybrid",
@@ -55,10 +55,11 @@ class TestSweepRequest:
         assert (
             SweepRequest.wild(fidelity="hybrid").params["fidelity"] == "hybrid"
         )
-        assert SweepRequest.tdiff().params["fidelity"] == "packet"
-        assert (
-            SweepRequest.tdiff(fidelity="hybrid").params["fidelity"] == "hybrid"
-        )
+        assert {c.fidelity for c in SweepRequest.tdiff().params["cells"]} == {
+            "packet"
+        }
+        hybrid = SweepRequest.tdiff(fidelity="hybrid")
+        assert {c.fidelity for c in hybrid.params["cells"]} == {"hybrid"}
 
 
 class TestSweepResult:

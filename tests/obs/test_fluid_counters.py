@@ -7,10 +7,14 @@ conservation law (offered == served + dropped + final backlog) must
 hold on real experiment topologies, not just unit-driven queues.
 """
 
+import pickle
+
 import pytest
 
 from repro.api import SweepRequest, run_sweep
 from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.wild import run_wild_test
+from repro.obs import MetricsSink, use_sink
 from repro.store import record_line
 
 DURATION = 4.0
@@ -81,3 +85,21 @@ class TestMetricsTransparency:
         assert [record_line(r) for r in bare.results] == [
             record_line(r) for r in metered.results
         ]
+
+
+class TestWildHybridHarvest:
+    def test_wild_replays_harvest_fluid_counters(self):
+        with use_sink(MetricsSink()) as sink:
+            report = run_wild_test("ISP1", seed=0, fidelity="hybrid")
+        counters = sink.snapshot()["counters"]
+        assert counters["netsim.fluid.virtual_drop_bytes"] > 0
+        assert counters["netsim.fluid.virtual_drop_bytes"] == pytest.approx(
+            counters["netsim.fluid.bg_bytes_dropped_total"], rel=1e-9
+        )
+        assert (
+            counters["netsim.fluid.deferrals"]
+            == counters["netsim.fluid.deferrals_total"]
+        )
+        # Reports hold ndarrays, so compare them byte for byte.
+        bare = run_wild_test("ISP1", seed=0, fidelity="hybrid")
+        assert pickle.dumps(bare) == pickle.dumps(report)

@@ -1,9 +1,8 @@
-"""ECDF, Monte-Carlo subsampling, and bootstrap tests."""
+"""ECDF and Monte-Carlo subsampling tests."""
 
 import numpy as np
 import pytest
 
-from repro.stats.bootstrap import bootstrap_ci, jackknife
 from repro.stats.empirical import ecdf, ecdf_at, quantile, summarize
 from repro.stats.montecarlo import (
     relative_mean_difference,
@@ -92,24 +91,3 @@ class TestOdiffDistribution:
         with pytest.raises(ValueError):
             relative_mean_difference_distribution([1.0, 2.0], [1.0, 2.0], 0, rng)
 
-
-class TestResampling:
-    def test_jackknife_mean_is_unbiased(self, rng):
-        samples = rng.normal(5, 1, 60)
-        estimate, stderr = jackknife(samples, np.mean)
-        assert estimate == pytest.approx(np.mean(samples), rel=1e-10)
-        assert stderr == pytest.approx(np.std(samples, ddof=1) / np.sqrt(60), rel=1e-6)
-
-    def test_jackknife_needs_two(self):
-        with pytest.raises(ValueError):
-            jackknife([1.0], np.mean)
-
-    def test_bootstrap_ci_contains_truth_usually(self, rng):
-        samples = rng.normal(10, 2, 100)
-        low, high = bootstrap_ci(samples, np.mean, 500, rng)
-        assert low < 10.5 and high > 9.5
-        assert low < high
-
-    def test_bootstrap_rejects_bad_confidence(self, rng):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0], np.mean, 10, rng, confidence=1.5)

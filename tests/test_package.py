@@ -43,7 +43,6 @@ PUBLIC_MODULES = [
     "repro.netsim.topology",
     "repro.netsim.udp",
     "repro.stats",
-    "repro.stats.bootstrap",
     "repro.stats.empirical",
     "repro.stats.ks",
     "repro.stats.montecarlo",
@@ -56,7 +55,6 @@ PUBLIC_MODULES = [
     "repro.wehe.detection",
     "repro.wehe.loss_measurement",
     "repro.wehe.replay",
-    "repro.wehe.trace_io",
     "repro.wehe.traces",
 ]
 

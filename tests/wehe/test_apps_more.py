@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.wehe.apps import APP_SPECS, TCP_APPS, UDP_APPS, make_trace
-from repro.wehe.trace_io import trace_statistics
 
 
 @pytest.fixture
@@ -51,10 +50,10 @@ class TestTcpShapes:
         )
 
     def test_rate_scales_with_spec(self, rng):
-        stats = {
-            app: trace_statistics(make_trace(app, 30.0, rng)) for app in TCP_APPS
+        rates = {
+            app: make_trace(app, 30.0, rng).mean_rate_bps for app in TCP_APPS
         }
         # Ordering of nominal rates is preserved in generated traces.
         nominal = sorted(TCP_APPS, key=lambda a: APP_SPECS[a].rate_bps)
-        generated = sorted(TCP_APPS, key=lambda a: stats[a]["mean_rate_bps"])
+        generated = sorted(TCP_APPS, key=rates.get)
         assert nominal[-1] == generated[-1]  # fastest app is fastest trace
