@@ -22,6 +22,7 @@ models, and unit-test fakes identically.
 """
 
 import enum
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,13 @@ class SimultaneousReplayResult:
         self.measurements_2 = measurements_2
 
 
+def serial_replays(service, original_trace, inverted_trace):
+    """A verdict's three replay results, each run when it is asked for."""
+    yield service.single_replay(original_trace)
+    yield service.simultaneous_replay(original_trace)
+    yield service.simultaneous_replay(inverted_trace)
+
+
 class WeHeYLocalizer:
     """Operations (3) and (4) of the pipeline over a replay service.
 
@@ -175,6 +183,12 @@ class WeHeYLocalizer:
     - ``single_replay(trace)`` -> throughput samples along p0;
     - ``simultaneous_replay(trace)`` ->
       :class:`SimultaneousReplayResult`.
+
+    It may also provide ``replays(original, inverted)``: an iterator
+    over the same three results (single, original simultaneous,
+    inverted simultaneous) that may compute them out of order, such as
+    :class:`~repro.experiments.runner.OverlappedReplays`.  Without it
+    the three calls run one after another.
 
     Parameters:
         rng: numpy Generator (Monte-Carlo subsampling).
@@ -254,18 +268,26 @@ class WeHeYLocalizer:
             return report
 
     def _localize(self, service, original_trace, inverted_trace):
-        x_samples = service.single_replay(original_trace)
-        problem = _sample_problem(x_samples, "single-replay")
-        if problem:
-            return self._invalid(problem)
-        original_sim = service.simultaneous_replay(original_trace)
-        problem = _simultaneous_problem(original_sim, "original-sim")
-        if problem:
-            return self._invalid(problem)
-        inverted_sim = service.simultaneous_replay(inverted_trace)
-        problem = _simultaneous_problem(inverted_sim, "inverted-sim")
-        if problem:
-            return self._invalid(problem)
+        replays = getattr(service, "replays", None)
+        if replays is None:
+            results = serial_replays(service, original_trace, inverted_trace)
+        else:
+            results = replays(original_trace, inverted_trace)
+        # Closing the iterator on an early exit stops whatever it still
+        # has in flight.
+        with closing(results):
+            x_samples = next(results)
+            problem = _sample_problem(x_samples, "single-replay")
+            if problem:
+                return self._invalid(problem)
+            original_sim = next(results)
+            problem = _simultaneous_problem(original_sim, "original-sim")
+            if problem:
+                return self._invalid(problem)
+            inverted_sim = next(results)
+            problem = _simultaneous_problem(inverted_sim, "inverted-sim")
+            if problem:
+                return self._invalid(problem)
 
         confirmation_1 = detect_differentiation(
             original_sim.samples_1, inverted_sim.samples_1, alpha=self.alpha

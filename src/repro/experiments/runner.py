@@ -5,7 +5,8 @@ interface :class:`~repro.core.localizer.WeHeYLocalizer` expects: every
 replay builds a *fresh* simulator (fresh background randomness -- the
 replays happen at different wall-clock times, like real WeHe tests),
 with the same topology and rate-limiter configuration (it is the same
-ISP device across replays).
+ISP device across replays).  :class:`OverlappedReplays` runs a
+verdict's three replays on two processes when it can.
 
 ``run_detection_experiment`` is the cheaper harness used by the
 Section-6 benchmarks: it runs only the original-trace simultaneous
@@ -14,11 +15,14 @@ what the paper's FN/FP metrics are defined on.
 """
 
 import gc
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.localizer import SimultaneousReplayResult
+from repro.core.localizer import SimultaneousReplayResult, serial_replays
 from repro.core.loss_correlation import LossTrendCorrelation
 from repro.experiments.scenarios import ScenarioConfig
 from repro.faults import FaultInjector, FaultSite, ReplayAbortedError, maybe_fire
@@ -27,7 +31,7 @@ from repro.netsim.background import (
     ModulatedPoissonBackground,
     TcpBackgroundPool,
 )
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import _STATS, Simulator
 from repro.netsim.fluid import (
     FluidPoissonBackground,
     FluidTcpBackground,
@@ -199,7 +203,122 @@ def _prepare_trace(trace, rng, modified):
     return trace
 
 
-class NetsimReplayService:
+class OverlappedReplays:
+    """A verdict's three replays, the first two beside the third.
+
+    A service splits each replay into a set-up (``_setup_single`` and
+    ``_setup_simultaneous``: every draw, a fresh environment, the
+    attached replays) and a run (``_run_single`` and
+    ``_run_simultaneous``: the simulation and its results).  A run reads
+    no other replay's state, so only the set-ups must keep their order.
+
+    :meth:`replays` takes the single and the original set-up in that
+    order, forks one child that runs both and pipes their results back,
+    and meanwhile runs the inverted replay in this process.  It stays
+    serial with one job, without ``fork``, with metrics on (they belong
+    to the process that owns the sink), and with a fault injector or a
+    path flap (their draws depend on which replays ran).
+    """
+
+    fault_injector = None
+    path_flap = None
+
+    def single_replay(self, trace):
+        """WeHe's p0 replay; returns its throughput samples."""
+        return self._run_single(self._setup_single(trace))
+
+    def simultaneous_replay(self, trace):
+        """Replay ``trace`` on p1 and p2; returns a :class:`SimultaneousRunResult`."""
+        return self._run_simultaneous(self._setup_simultaneous(trace))
+
+    def replays(self, original, inverted):
+        """The single, original and inverted results, in that order."""
+        # Imported here so that importing the localizer loads no new module.
+        from repro.jobs import default_jobs, fork_available
+
+        if (
+            default_jobs() < 2
+            or not fork_available()
+            or _obs.ENABLED
+            or self.fault_injector is not None
+            or self.path_flap is not None
+        ):
+            return serial_replays(self, original, inverted)
+        return self._overlapped(original, inverted)
+
+    def _overlapped(self, original, inverted):
+        jobs = [
+            (self._run_single, self._setup_single(original)),
+            (self._run_simultaneous, self._setup_simultaneous(original)),
+        ]
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _replay_child(write_fd, jobs)
+        os.close(write_fd)
+        # The inverted set-up collects the child's environments once no
+        # reference holds them, so this process never holds three.
+        del jobs
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                start = _STATS["events"]
+                error = None
+                try:
+                    inverted_result = self.simultaneous_replay(inverted)
+                except Exception as exc:
+                    error = exc
+                # Its events are booked when it is consumed, as in the
+                # serial schedule.
+                events = _STATS["events"] - start
+                _STATS["events"] = start
+                yield _receive(pipe)
+                yield _receive(pipe)
+            _STATS["events"] += events
+            if error is not None:
+                raise error
+            yield inverted_result
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _replay_child(write_fd, jobs):
+    """Forked child: run each ``(run, setup)`` job and pickle its outcome.
+
+    Each outcome is ``(result, exception, events)``; the child stops at
+    the first exception and never returns.
+    """
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            for run, setup in jobs:
+                events = _STATS["events"]
+                result = error = None
+                try:
+                    result = run(setup)
+                except Exception as exc:
+                    error = exc
+                pickle.dump((result, error, _STATS["events"] - events), pipe)
+                pipe.flush()
+                if error is not None:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe):
+    """The child's next result; re-raises the exception it sent instead."""
+    try:
+        result, error, events = pickle.load(pipe)
+    except EOFError:
+        raise ChildProcessError("replay child exited without a result") from None
+    _STATS["events"] += events
+    if error is not None:
+        raise error
+    return result
+
+
+class NetsimReplayService(OverlappedReplays):
     """Replay service over the simulator for one scenario.
 
     ``fault_injector`` (a :class:`~repro.faults.FaultInjector`) makes
@@ -263,8 +382,7 @@ class NetsimReplayService:
         if self.merge_flows:
             register(f"replay-{app}-merged", self.replay_ports[0], proto=proto)
 
-    def single_replay(self, trace):
-        """WeHe's p0 replay; returns 100 throughput samples."""
+    def _setup_single(self, trace):
         if maybe_fire(self.fault_injector, FaultSite.REPLAY_ABORT):
             raise ReplayAbortedError("single replay aborted")
         env = self._new_environment()
@@ -278,24 +396,25 @@ class NetsimReplayService:
             duration=self.config.duration,
             ack_jitter=env.ack_jitter,
         )
+        return env, handle
+
+    def _run_single(self, setup):
+        env, handle = setup
         env.run()
         samples = handle.throughput_samples()
         if maybe_fire(self.fault_injector, FaultSite.TRUNCATED_SAMPLES):
             samples = self.fault_injector.truncate_samples(samples)
         return samples
 
-    def simultaneous_replay(self, trace):
-        """Replay ``trace`` on p1 and p2 at (nearly) the same instant.
-
-        Starts are only back-to-back client commands (Section 3.4), so
-        the second replay begins a command-latency later -- drawn here
-        between 20 and 100 ms, covering the RTT/startup spread of real
-        server pairs.
-        """
+    def _setup_simultaneous(self, trace):
         if maybe_fire(self.fault_injector, FaultSite.REPLAY_ABORT):
             raise ReplayAbortedError("simultaneous replay aborted")
         env = self._new_environment()
         pacing = self.modified
+        # Starts are only back-to-back client commands (Section 3.4), so
+        # the second replay begins a command-latency later -- drawn
+        # between 20 and 100 ms, covering the RTT/startup spread of real
+        # server pairs.
         offset = float(self._trace_rng.uniform(0.02, 0.1))
         handles = []
         merged_id = f"replay-{trace.app}-merged" if self.merge_flows else None
@@ -314,6 +433,10 @@ class NetsimReplayService:
             if prepared.protocol == "tcp":
                 handle.sender.pacing = pacing
             handles.append(handle)
+        return env, handles
+
+    def _run_simultaneous(self, setup):
+        env, handles = setup
         env.run()
         # Kept for callers that need raw capture access after the run
         # (the shaper fingerprinter reads windowed loss/mark series the

@@ -31,6 +31,7 @@ from repro.core.localizer import WeHeYLocalizer
 from repro.experiments.runner import (
     DRAIN,
     WARMUP,
+    OverlappedReplays,
     SimultaneousRunResult,
     _prepare_trace,
 )
@@ -138,7 +139,7 @@ class DelayedTriggerClassifier:
         return self.tripped
 
 
-class WildReplayService:
+class WildReplayService(OverlappedReplays):
     """Replay service over a wild-ISP model.
 
     Parameters:
@@ -177,7 +178,7 @@ class WildReplayService:
         children = self._seed_seq.spawn(3)
         rng_bg = np.random.default_rng(children[0])
         rng_trigger = np.random.default_rng(children[1])
-        self._ack_jitter = AckJitter(np.random.default_rng(children[2]))
+        ack_jitter = AckJitter(np.random.default_rng(children[2]))
         config = TopologyConfig(
             common_bandwidth_bps=100e6,
             rtt_1=self.isp.rtt,
@@ -219,7 +220,7 @@ class WildReplayService:
                 dscp1_fraction=0.0,
                 stop_at=WARMUP + self.duration + DRAIN,
             )
-        return sim, topology
+        return sim, topology, ack_jitter
 
     def _run(self, sim, topology):
         elapsed = WARMUP + self.duration + DRAIN
@@ -229,19 +230,23 @@ class WildReplayService:
             if self.fidelity == "hybrid":
                 harvest_fluid(_obs.SINK, topology)
 
-    def single_replay(self, trace):
-        sim, topology = self._new_environment()
+    def _setup_single(self, trace):
+        sim, topology, ack_jitter = self._new_environment()
         trace = _prepare_trace(trace, self._trace_rng, self.modified)
         handle = attach_replay(
             sim, topology, 1, trace, start_at=WARMUP, duration=self.duration,
-            ack_jitter=self._ack_jitter,
+            ack_jitter=ack_jitter,
         )
+        return sim, topology, handle
+
+    def _run_single(self, setup):
+        sim, topology, handle = setup
         self._run(sim, topology)
         self.last_single_handle = handle
         return handle.throughput_samples()
 
-    def simultaneous_replay(self, trace):
-        sim, topology = self._new_environment()
+    def _setup_simultaneous(self, trace):
+        sim, topology, ack_jitter = self._new_environment()
         offset = float(self._trace_rng.uniform(0.02, 0.1))
         handles = []
         for which, start in ((1, WARMUP), (2, WARMUP + offset)):
@@ -250,7 +255,7 @@ class WildReplayService:
                 attach_replay(
                     sim, topology, which, prepared,
                     start_at=start, duration=self.duration,
-                    ack_jitter=self._ack_jitter,
+                    ack_jitter=ack_jitter,
                 )
             )
         if self.sanity_check and trace.is_original:
@@ -258,8 +263,12 @@ class WildReplayService:
             attach_replay(
                 sim, topology, 3, third,
                 start_at=WARMUP + 2 * offset, duration=self.duration,
-                ack_jitter=self._ack_jitter,
+                ack_jitter=ack_jitter,
             )
+        return sim, topology, handles
+
+    def _run_simultaneous(self, setup):
+        sim, topology, handles = setup
         self._run(sim, topology)
         h1, h2 = handles
         self.last_simultaneous_handles = handles

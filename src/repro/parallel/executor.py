@@ -20,13 +20,12 @@ drain) lives in :mod:`repro.parallel.supervisor`.
 """
 
 import logging
-import multiprocessing
-import os
 import pickle
 from dataclasses import replace
 
 from repro.experiments.runner import run_detection_experiment
 from repro.faults.chaos import chaos_from_env
+from repro.jobs import default_jobs, fork_available
 from repro.parallel.supervisor import (
     DEFAULT_MAX_CELL_RETRIES,
     CellFailure,
@@ -36,37 +35,6 @@ from repro.parallel.supervisor import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-def default_jobs():
-    """Default worker count: every core the scheduler *actually* gives us.
-
-    ``os.cpu_count()`` reports the machine, not the container --
-    in a cgroup-limited CI job or under ``taskset`` it overcounts, and
-    oversubscribed workers thrash.  Preference order:
-
-    1. ``REPRO_JOBS`` environment variable (explicit operator override;
-       non-integer values are ignored);
-    2. the CPU-affinity mask (:func:`os.sched_getaffinity`, which
-       reflects cgroups/taskset on Linux);
-    3. ``os.cpu_count()`` where affinity is unavailable (macOS);
-    4. 1.
-    """
-    override = os.environ.get("REPRO_JOBS")
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass  # fall through to the detected value
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def fork_available():
-    """True when the ``fork`` start method exists (POSIX)."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _probe_picklable(task, items):

@@ -36,6 +36,7 @@ state, so a checkpoint can never be written twice for one cell.
 
 import logging
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -157,7 +158,11 @@ def _worker_main(conn, task, metered, chaos):
     - ``("unpicklable", index, description, snapshot)`` -- the result
       would not cross the process boundary (pickling happens before any
       bytes hit the pipe, so the channel stays intact).
+
+    Workers pin ``REPRO_JOBS=1``, so a verdict inside a cell replays
+    serially and never forks a child of its own.
     """
+    os.environ["REPRO_JOBS"] = "1"
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
