@@ -5,8 +5,10 @@ interface :class:`~repro.core.localizer.WeHeYLocalizer` expects: every
 replay builds a *fresh* simulator (fresh background randomness -- the
 replays happen at different wall-clock times, like real WeHe tests),
 with the same topology and rate-limiter configuration (it is the same
-ISP device across replays).  :class:`OverlappedReplays` runs a
-verdict's three replays on two processes when it can.
+ISP device across replays).  The replays are defined once, in
+:class:`OverlappedReplays`, for scenario and wild services alike: a
+service only builds the network (``_new_environment``), and a verdict's
+three replays run on two processes when they can.
 
 ``run_detection_experiment`` is the cheaper harness used by the
 Section-6 benchmarks: it runs only the original-trace simultaneous
@@ -52,8 +54,23 @@ WARMUP = 1.0
 DRAIN = 1.0
 
 
+def _poisson_background(sim, rng, links, rate_bps, fidelity, **kwargs):
+    """Open-loop Poisson background over ``links``: the fluid model at
+    ``hybrid`` fidelity, one packet at a time otherwise."""
+    if fidelity == "hybrid":
+        return FluidPoissonBackground(sim, rng, links, rate_bps, **kwargs)
+    return ModulatedPoissonBackground(
+        sim, rng, Path(links, CountingSink()), rate_bps, **kwargs
+    )
+
+
 class _Environment:
-    """One simulator instance wired per the scenario."""
+    """One simulator instance wired per the scenario.
+
+    A replay reads its ``sim``, ``topology`` and ``ack_jitter`` and calls
+    :meth:`run` and :meth:`loss_estimator`; ``config`` supplies the
+    ``duration`` and ``fidelity`` they use.
+    """
 
     def __init__(self, config, seed_seq):
         self.config = config
@@ -107,28 +124,17 @@ class _Environment:
                 4e6,
             )
             side_rate = marked + unmarked
-            if hybrid:
-                FluidPoissonBackground(
-                    self.sim,
-                    rng_udp,
-                    links,
-                    side_rate,
-                    dscp1_fraction=marked / side_rate if side_rate > 0 else 0.0,
-                    modulation=config.background_modulation,
-                    stop_at=stop,
-                    flow_id=f"bg-udp-{which}",
-                )
-            else:
-                ModulatedPoissonBackground(
-                    self.sim,
-                    rng_udp,
-                    Path(links, CountingSink()),
-                    side_rate,
-                    dscp1_fraction=marked / side_rate if side_rate > 0 else 0.0,
-                    modulation=config.background_modulation,
-                    stop_at=stop,
-                    flow_id=f"bg-udp-{which}",
-                )
+            _poisson_background(
+                self.sim,
+                rng_udp,
+                links,
+                side_rate,
+                config.fidelity,
+                dscp1_fraction=marked / side_rate if side_rate > 0 else 0.0,
+                modulation=config.background_modulation,
+                stop_at=stop,
+                flow_id=f"bg-udp-{which}",
+            )
             if config.tcp_background_flows > 0:
                 tcp_source = FluidTcpBackground if hybrid else TcpBackgroundPool
                 tcp_source(
@@ -206,11 +212,14 @@ def _prepare_trace(trace, rng, modified):
 class OverlappedReplays:
     """A verdict's three replays, the first two beside the third.
 
-    A service splits each replay into a set-up (``_setup_single`` and
-    ``_setup_simultaneous``: every draw, a fresh environment, the
-    attached replays) and a run (``_run_single`` and
-    ``_run_simultaneous``: the simulation and its results).  A run reads
-    no other replay's state, so only the set-ups must keep their order.
+    A service supplies ``_new_environment()`` -- the network a replay
+    runs on, shaped like :class:`_Environment` -- plus ``_trace_rng`` and
+    ``modified``; every replay is defined here, once.  Each replay splits
+    into a set-up (``_setup_single`` and ``_setup_simultaneous``: every
+    draw, a fresh environment, the attached replays) and a run
+    (``_run_single`` and ``_run_simultaneous``: the simulation and its
+    results).  A run reads no other replay's state, so only the set-ups
+    must keep their order.
 
     :meth:`replays` takes the single and the original set-up in that
     order, forks one child that runs both and pipes their results back,
@@ -222,6 +231,16 @@ class OverlappedReplays:
 
     fault_injector = None
     path_flap = None
+    merge_flows = False
+    #: When True, a third server replays the original trace beside every
+    #: original simultaneous replay (the wild sanity check).
+    sanity_check = False
+    # The last replay's objects, for callers that need raw capture
+    # access after the run (the shaper fingerprinter reads windowed
+    # loss/mark series the summary statistics throw away).
+    last_environment = None
+    last_single_handle = None
+    last_simultaneous_handles = None
 
     def single_replay(self, trace):
         """WeHe's p0 replay; returns its throughput samples."""
@@ -252,7 +271,18 @@ class OverlappedReplays:
             (self._run_simultaneous, self._setup_simultaneous(original)),
         ]
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            # No child to be had (EAGAIN, ENOMEM): run the set-ups here.
+            os.close(read_fd)
+            os.close(write_fd)
+            while jobs:
+                run, setup = jobs.pop(0)
+                yield run(setup)
+            del run, setup
+            yield self.simultaneous_replay(inverted)
+            return
         if pid == 0:
             os.close(read_fd)
             _replay_child(write_fd, jobs)
@@ -281,6 +311,112 @@ class OverlappedReplays:
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+    def _environment(self):
+        """Retire the last replay's environment, then build a fresh one."""
+        # An environment is a reference cycle (sender -> path -> receiver
+        # -> reverse path -> sender), so only the cyclic collector frees
+        # it; left to the collector's own schedule, dead environments
+        # pile up and set peak memory.
+        self.last_environment = None
+        self.last_single_handle = None
+        self.last_simultaneous_handles = None
+        gc.collect()
+        return self._new_environment()
+
+    def _setup_single(self, trace):
+        if maybe_fire(self.fault_injector, FaultSite.REPLAY_ABORT):
+            raise ReplayAbortedError("single replay aborted")
+        env = self._environment()
+        trace = _prepare_trace(trace, self._trace_rng, self.modified)
+        handle = attach_replay(
+            env.sim,
+            env.topology,
+            1,
+            trace,
+            start_at=WARMUP,
+            duration=env.config.duration,
+            ack_jitter=env.ack_jitter,
+        )
+        return env, handle
+
+    def _run_single(self, setup):
+        env, handle = setup
+        env.run()
+        self.last_environment = env
+        self.last_single_handle = handle
+        samples = handle.throughput_samples()
+        if maybe_fire(self.fault_injector, FaultSite.TRUNCATED_SAMPLES):
+            samples = self.fault_injector.truncate_samples(samples)
+        return samples
+
+    def _setup_simultaneous(self, trace):
+        if maybe_fire(self.fault_injector, FaultSite.REPLAY_ABORT):
+            raise ReplayAbortedError("simultaneous replay aborted")
+        env = self._environment()
+        duration = env.config.duration
+        # Starts are only back-to-back client commands (Section 3.4), so
+        # the second replay begins a command-latency later -- drawn
+        # between 20 and 100 ms, covering the RTT/startup spread of real
+        # server pairs.
+        offset = float(self._trace_rng.uniform(0.02, 0.1))
+        handles = []
+        merged_id = f"replay-{trace.app}-merged" if self.merge_flows else None
+        for which, start in ((1, WARMUP), (2, WARMUP + offset)):
+            prepared = _prepare_trace(trace, self._trace_rng, self.modified)
+            handle = attach_replay(
+                env.sim,
+                env.topology,
+                which,
+                prepared,
+                start_at=start,
+                duration=duration,
+                flow_id=merged_id,
+                ack_jitter=env.ack_jitter,
+            )
+            if prepared.protocol == "tcp":
+                handle.sender.pacing = self.modified
+            handles.append(handle)
+        if self.sanity_check and trace.is_original:
+            third = _prepare_trace(trace, self._trace_rng, self.modified)
+            attach_replay(
+                env.sim,
+                env.topology,
+                3,
+                third,
+                start_at=WARMUP + 2 * offset,
+                duration=duration,
+                ack_jitter=env.ack_jitter,
+            )
+        return env, handles
+
+    def _run_simultaneous(self, setup):
+        env, handles = setup
+        env.run()
+        self.last_environment = env
+        self.last_simultaneous_handles = handles
+        estimator = env.loss_estimator()
+        h1, h2 = handles
+        result = SimultaneousRunResult(
+            samples_1=h1.throughput_samples(),
+            samples_2=h2.throughput_samples(),
+            measurements_1=h1.path_measurements(estimator),
+            measurements_2=h2.path_measurements(estimator),
+            retx_rate_1=h1.retransmission_rate(),
+            retx_rate_2=h2.retransmission_rate(),
+            queuing_delay_1=h1.queuing_delay(),
+            queuing_delay_2=h2.queuing_delay(),
+            mean_throughput_1=h1.mean_throughput(),
+            mean_throughput_2=h2.mean_throughput(),
+        )
+        injector = self.fault_injector
+        if maybe_fire(injector, FaultSite.TRUNCATED_SAMPLES):
+            result.samples_1 = injector.truncate_samples(result.samples_1)
+            result.samples_2 = injector.truncate_samples(result.samples_2)
+        if maybe_fire(injector, FaultSite.CORRUPT_LOSS):
+            injector.corrupt_measurements(result.measurements_1)
+            injector.corrupt_measurements(result.measurements_2)
+        return result
 
 
 def _replay_child(write_fd, jobs):
@@ -348,17 +484,8 @@ class NetsimReplayService(OverlappedReplays):
         self.replay_ports = replay_ports
         # A repro.faults.PathFlapInjector armed once per replay run.
         self.path_flap = path_flap
-        self.last_simultaneous_handles = None
-        self.last_environment = None
 
     def _new_environment(self):
-        # Retire the previous replay's environment.  It is a reference
-        # cycle (sender -> path -> receiver -> reverse path -> sender),
-        # so only the cyclic collector frees it; left to the collector's
-        # own schedule, dead environments pile up and set peak memory.
-        self.last_simultaneous_handles = None
-        self.last_environment = None
-        gc.collect()
         env = _Environment(self.config, self._seed_seq.spawn(1)[0])
         self._register_ports(env)
         if self.path_flap is not None:
@@ -381,90 +508,6 @@ class NetsimReplayService(OverlappedReplays):
                 register(f"replay-{app}-{which}-{suffix}", sport, proto=proto)
         if self.merge_flows:
             register(f"replay-{app}-merged", self.replay_ports[0], proto=proto)
-
-    def _setup_single(self, trace):
-        if maybe_fire(self.fault_injector, FaultSite.REPLAY_ABORT):
-            raise ReplayAbortedError("single replay aborted")
-        env = self._new_environment()
-        trace = _prepare_trace(trace, self._trace_rng, self.modified)
-        handle = attach_replay(
-            env.sim,
-            env.topology,
-            1,
-            trace,
-            start_at=WARMUP,
-            duration=self.config.duration,
-            ack_jitter=env.ack_jitter,
-        )
-        return env, handle
-
-    def _run_single(self, setup):
-        env, handle = setup
-        env.run()
-        samples = handle.throughput_samples()
-        if maybe_fire(self.fault_injector, FaultSite.TRUNCATED_SAMPLES):
-            samples = self.fault_injector.truncate_samples(samples)
-        return samples
-
-    def _setup_simultaneous(self, trace):
-        if maybe_fire(self.fault_injector, FaultSite.REPLAY_ABORT):
-            raise ReplayAbortedError("simultaneous replay aborted")
-        env = self._new_environment()
-        pacing = self.modified
-        # Starts are only back-to-back client commands (Section 3.4), so
-        # the second replay begins a command-latency later -- drawn
-        # between 20 and 100 ms, covering the RTT/startup spread of real
-        # server pairs.
-        offset = float(self._trace_rng.uniform(0.02, 0.1))
-        handles = []
-        merged_id = f"replay-{trace.app}-merged" if self.merge_flows else None
-        for which, start in ((1, WARMUP), (2, WARMUP + offset)):
-            prepared = _prepare_trace(trace, self._trace_rng, self.modified)
-            handle = attach_replay(
-                env.sim,
-                env.topology,
-                which,
-                prepared,
-                start_at=start,
-                duration=self.config.duration,
-                flow_id=merged_id,
-                ack_jitter=env.ack_jitter,
-            )
-            if prepared.protocol == "tcp":
-                handle.sender.pacing = pacing
-            handles.append(handle)
-        return env, handles
-
-    def _run_simultaneous(self, setup):
-        env, handles = setup
-        env.run()
-        # Kept for callers that need raw capture access after the run
-        # (the shaper fingerprinter reads windowed loss/mark series the
-        # summary statistics below throw away).
-        self.last_simultaneous_handles = handles
-        self.last_environment = env
-        estimator = env.loss_estimator()
-        h1, h2 = handles
-        result = SimultaneousRunResult(
-            samples_1=h1.throughput_samples(),
-            samples_2=h2.throughput_samples(),
-            measurements_1=h1.path_measurements(estimator),
-            measurements_2=h2.path_measurements(estimator),
-            retx_rate_1=h1.retransmission_rate(),
-            retx_rate_2=h2.retransmission_rate(),
-            queuing_delay_1=h1.queuing_delay(),
-            queuing_delay_2=h2.queuing_delay(),
-            mean_throughput_1=h1.mean_throughput(),
-            mean_throughput_2=h2.mean_throughput(),
-        )
-        injector = self.fault_injector
-        if maybe_fire(injector, FaultSite.TRUNCATED_SAMPLES):
-            result.samples_1 = injector.truncate_samples(result.samples_1)
-            result.samples_2 = injector.truncate_samples(result.samples_2)
-        if maybe_fire(injector, FaultSite.CORRUPT_LOSS):
-            injector.corrupt_measurements(result.measurements_1)
-            injector.corrupt_measurements(result.measurements_2)
-        return result
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,12 @@ throughput comparison fails.
 the original simultaneous replay; p1 + p2 then share the per-client
 policer with a third path, their aggregate no longer adds up to X, and
 the algorithm must *not* detect a common bottleneck.
+
+:class:`WildReplayService` supplies only its ISP network
+(:class:`_IspEnvironment`); the replays themselves are the scenario
+services' (:class:`repro.experiments.runner.OverlappedReplays`).
 """
 
-import gc
 import zlib
 from dataclasses import dataclass
 
@@ -32,19 +35,16 @@ from repro.experiments.runner import (
     DRAIN,
     WARMUP,
     OverlappedReplays,
-    SimultaneousRunResult,
-    _prepare_trace,
+    _Environment,
+    _poisson_background,
 )
-from repro.netsim.background import CountingSink, ModulatedPoissonBackground
 from repro.netsim.engine import Simulator
-from repro.netsim.fluid import FluidPoissonBackground, harvest_fluid
-from repro.netsim.path import Path
 from repro.netsim.topology import FigureOneTopology, TopologyConfig
-from repro.obs import harvest_topology
-from repro.obs import metrics as _obs
+from repro.wehe import traces
 from repro.wehe.apps import make_trace
 from repro.wehe.corpus import generate_corpus, tdiff_distribution
-from repro.wehe.replay import AckJitter, attach_replay
+from repro.wehe.loss_measurement import RetransmissionLossEstimator
+from repro.wehe.replay import AckJitter
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,57 @@ class DelayedTriggerClassifier:
         return self.tripped
 
 
+class _IspEnvironment(_Environment):
+    """One simulator instance wired per a wild ISP model.
+
+    ``service`` (a :class:`WildReplayService`) stands in for the
+    scenario config: it supplies the ``duration`` and ``fidelity`` that
+    :meth:`_Environment.run` and the replays read.
+    """
+
+    def __init__(self, service):
+        self.config = service
+        isp = service.isp
+        self.sim = Simulator()
+        children = service._seed_seq.spawn(3)
+        rng_bg = np.random.default_rng(children[0])
+        rng_trigger = np.random.default_rng(children[1])
+        self.ack_jitter = AckJitter(np.random.default_rng(children[2]))
+        config = TopologyConfig(
+            common_bandwidth_bps=100e6,
+            rtt_1=isp.rtt,
+            rtt_2=isp.rtt * 1.1,
+            limiter="common",
+            limiter_rate_bps=isp.throttle_rate_bps,
+            queue_factor=isp.queue_factor,
+            extra_server_rtts=(isp.rtt * 1.2,),
+            fidelity=service.fidelity,
+            shaper=isp.shaper,
+            shaper_params=tuple(isp.shaper_params),
+            shaper_seed=service.seed,
+        )
+        self.topology = FigureOneTopology(self.sim, config)
+        if isp.trigger_bytes is not None:
+            jitter = 1.0 + isp.trigger_jitter * float(rng_trigger.uniform(-1.0, 1.0))
+            self.topology.link_c.qdisc.classifier = DelayedTriggerClassifier(
+                isp.trigger_bytes * jitter
+            )
+        # Light non-targeted background; it shares links but not the
+        # per-client policer (dscp1_fraction = 0).
+        _poisson_background(
+            self.sim,
+            rng_bg,
+            [self.topology.link_1, self.topology.link_c],
+            4e6,
+            service.fidelity,
+            dscp1_fraction=0.0,
+            stop_at=WARMUP + service.duration + DRAIN,
+        )
+
+    def loss_estimator(self):
+        return RetransmissionLossEstimator()
+
+
 class WildReplayService(OverlappedReplays):
     """Replay service over a wild-ISP model.
 
@@ -169,121 +220,7 @@ class WildReplayService(OverlappedReplays):
         self.modified = True
 
     def _new_environment(self):
-        # Free the previous replay's environment now, not whenever the
-        # cyclic collector next runs (see NetsimReplayService).
-        self.last_single_handle = None
-        self.last_simultaneous_handles = None
-        gc.collect()
-        sim = Simulator()
-        children = self._seed_seq.spawn(3)
-        rng_bg = np.random.default_rng(children[0])
-        rng_trigger = np.random.default_rng(children[1])
-        ack_jitter = AckJitter(np.random.default_rng(children[2]))
-        config = TopologyConfig(
-            common_bandwidth_bps=100e6,
-            rtt_1=self.isp.rtt,
-            rtt_2=self.isp.rtt * 1.1,
-            limiter="common",
-            limiter_rate_bps=self.isp.throttle_rate_bps,
-            queue_factor=self.isp.queue_factor,
-            extra_server_rtts=(self.isp.rtt * 1.2,),
-            fidelity=self.fidelity,
-            shaper=self.isp.shaper,
-            shaper_params=tuple(self.isp.shaper_params),
-            shaper_seed=self.seed,
-        )
-        topology = FigureOneTopology(sim, config)
-        if self.isp.trigger_bytes is not None:
-            jitter = 1.0 + self.isp.trigger_jitter * float(
-                rng_trigger.uniform(-1.0, 1.0)
-            )
-            topology.link_c.qdisc.classifier = DelayedTriggerClassifier(
-                self.isp.trigger_bytes * jitter
-            )
-        # Light non-targeted background; it shares links but not the
-        # per-client policer (dscp1_fraction = 0).
-        if self.fidelity == "hybrid":
-            FluidPoissonBackground(
-                sim,
-                rng_bg,
-                [topology.link_1, topology.link_c],
-                4e6,
-                dscp1_fraction=0.0,
-                stop_at=WARMUP + self.duration + DRAIN,
-            )
-        else:
-            ModulatedPoissonBackground(
-                sim,
-                rng_bg,
-                Path([topology.link_1, topology.link_c], CountingSink()),
-                4e6,
-                dscp1_fraction=0.0,
-                stop_at=WARMUP + self.duration + DRAIN,
-            )
-        return sim, topology, ack_jitter
-
-    def _run(self, sim, topology):
-        elapsed = WARMUP + self.duration + DRAIN
-        sim.run(until=elapsed)
-        if _obs.ENABLED:
-            harvest_topology(_obs.SINK, topology, elapsed)
-            if self.fidelity == "hybrid":
-                harvest_fluid(_obs.SINK, topology)
-
-    def _setup_single(self, trace):
-        sim, topology, ack_jitter = self._new_environment()
-        trace = _prepare_trace(trace, self._trace_rng, self.modified)
-        handle = attach_replay(
-            sim, topology, 1, trace, start_at=WARMUP, duration=self.duration,
-            ack_jitter=ack_jitter,
-        )
-        return sim, topology, handle
-
-    def _run_single(self, setup):
-        sim, topology, handle = setup
-        self._run(sim, topology)
-        self.last_single_handle = handle
-        return handle.throughput_samples()
-
-    def _setup_simultaneous(self, trace):
-        sim, topology, ack_jitter = self._new_environment()
-        offset = float(self._trace_rng.uniform(0.02, 0.1))
-        handles = []
-        for which, start in ((1, WARMUP), (2, WARMUP + offset)):
-            prepared = _prepare_trace(trace, self._trace_rng, self.modified)
-            handles.append(
-                attach_replay(
-                    sim, topology, which, prepared,
-                    start_at=start, duration=self.duration,
-                    ack_jitter=ack_jitter,
-                )
-            )
-        if self.sanity_check and trace.is_original:
-            third = _prepare_trace(trace, self._trace_rng, self.modified)
-            attach_replay(
-                sim, topology, 3, third,
-                start_at=WARMUP + 2 * offset, duration=self.duration,
-                ack_jitter=ack_jitter,
-            )
-        return sim, topology, handles
-
-    def _run_simultaneous(self, setup):
-        sim, topology, handles = setup
-        self._run(sim, topology)
-        h1, h2 = handles
-        self.last_simultaneous_handles = handles
-        return SimultaneousRunResult(
-            samples_1=h1.throughput_samples(),
-            samples_2=h2.throughput_samples(),
-            measurements_1=h1.path_measurements(),
-            measurements_2=h2.path_measurements(),
-            retx_rate_1=h1.retransmission_rate(),
-            retx_rate_2=h2.retransmission_rate(),
-            queuing_delay_1=h1.queuing_delay(),
-            queuing_delay_2=h2.queuing_delay(),
-            mean_throughput_1=h1.mean_throughput(),
-            mean_throughput_2=h2.mean_throughput(),
-        )
+        return _IspEnvironment(self)
 
 
 _TDIFF_CACHE = {}
@@ -316,9 +253,7 @@ def run_wild_test(
         skip_loss_correlation=True,
     )
     original = make_trace(app, service.duration, service._trace_rng)
-    from repro.wehe.traces import bit_invert
-
-    return localizer.localize(service, original, bit_invert(original))
+    return localizer.localize(service, original, traces.bit_invert(original))
 
 
 def _wild_cell(cell, sanity_check, fidelity):

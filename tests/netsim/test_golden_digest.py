@@ -79,10 +79,15 @@ def cell_digest(app, limiter, fidelity, shaper=None):
     return sha.hexdigest()
 
 
-def wild_digest(isp_name, app, fidelity):
+def wild_digest(isp_name, app, fidelity, sanity_check=False):
     """SHA-256 of one 5 s wild-ISP single plus simultaneous replay."""
     service = WildReplayService(
-        isp_model(isp_name), app, seed=SEED, duration=DURATION, fidelity=fidelity
+        isp_model(isp_name),
+        app,
+        seed=SEED,
+        duration=DURATION,
+        sanity_check=sanity_check,
+        fidelity=fidelity,
     )
     trace = make_trace(app, DURATION, service._trace_rng)
     sha = hashlib.sha256()
@@ -146,6 +151,33 @@ GOLDEN_WILD = {
     ("ISP1", "netflix", "hybrid"): (
         "beab2991a85850e09ae0e29c8ea99b6cab4e573849f6edb9c8a34761343f0dec"
     ),
+    ("ISP1", "netflix", "packet"): (
+        "caae789bf0afc2de586c9e1944750ee434301cabc294ece3c053743ee1319ae8"
+    ),
+    # ISP5's delayed-trigger classifier at both fidelities.
+    ("ISP5", "netflix", "packet"): (
+        "81ec6a0bc5727775d7657b8ef527fdaebdf8e4729bcf5ea25967cb04f732a7d7"
+    ),
+    ("ISP5", "netflix", "hybrid"): (
+        "df340a54317c3d306c325d5bf06064fef36bf2ae886a54ea01eec412e96aa5c4"
+    ),
+    ("ISP1", "zoom", "hybrid"): (
+        "cb166d32d6009a0802c9147f4b4a171dac0ee73147ef7ecec14e960dc6adb5c1"
+    ),
+    ("ZOO-DUAL", "netflix", "packet"): (
+        "dc9f305fa49441820ef848816d3c667fd4f7e6427438eeedfa051101955d857f"
+    ),
+    ("ZOO-DUAL", "netflix", "hybrid"): (
+        "9b7f532197c515c93425990d61318d63265342ae0d2500325cd6594a5a9875b2"
+    ),
+    # AQMs have no fluid twin, so packet only.
+    ("ZOO-CODEL", "netflix", "packet"): (
+        "e9c9b405b50b77b9fad4c0594c26a4d2c63f4eb1ba31a221cb43799330b2ab8b"
+    ),
+    # A fourth element of True runs the sanity-check third replay.
+    ("ISP1", "netflix", "packet", True): (
+        "f00de6fb287520a97fa5f85f1995e0d284ae8dd0b78f9ac7d08ce6061e1f6fbd"
+    ),
 }
 
 
@@ -157,7 +189,9 @@ def test_detection_cell_digest(cell):
 
 
 @pytest.mark.parametrize(
-    "cell", list(GOLDEN_WILD), ids=lambda c: "-".join(c)
+    "cell",
+    list(GOLDEN_WILD),
+    ids=lambda c: "-".join(c[:3]) + ("-sanity" if c[3:] else ""),
 )
 def test_wild_cell_digest(cell):
     assert wild_digest(*cell) == GOLDEN_WILD[cell]
