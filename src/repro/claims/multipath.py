@@ -2,7 +2,8 @@
 
 The grid sweeps the ECMP/flowlet confounder: bundle width (collision
 probability 1/N) x flowlet gap x limiter mechanism, at a fixed app and
-duration.  Each cell is localized twice:
+duration, one sweep-executor cell per grid cell.  Each cell is
+localized twice:
 
 - **detection off** (``multipath_aware=False``): the pipeline as the
   paper ships it.  Its accuracy *degrades* as the bundle widens, which
@@ -38,6 +39,7 @@ from repro.core.localizer import WeHeYLocalizer
 from repro.experiments.runner import WARMUP, NetsimReplayService
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import default_tdiff
+from repro.parallel import SweepExecutor
 from repro.wehe.apps import make_trace
 from repro.wehe.traces import bit_invert
 
@@ -228,6 +230,11 @@ def run_cell(members, flowlet_gap, shaper, seed, duration=GRID_DURATION):
     }
 
 
+def _run_cell(cell):
+    """:func:`run_cell` of one ``(members, flowlet gap, shaper, seed)``."""
+    return run_cell(*cell)
+
+
 def _curve(cells):
     """Detection-off accuracy by bundle width (the degradation curve)."""
     curve = {}
@@ -246,12 +253,15 @@ def measure(quick):
     cells = QUICK_CELLS if quick else GRID_CELLS
     shapers = QUICK_SHAPERS if quick else GRID_SHAPERS
     seeds = QUICK_SEEDS if quick else GRID_SEEDS
-    records = [
-        run_cell(members, flowlet_gap, shaper, seed)
-        for members, flowlet_gap in cells
-        for shaper in shapers
-        for seed in seeds
-    ]
+    records = SweepExecutor().map(
+        _run_cell,
+        [
+            (members, flowlet_gap, shaper, seed)
+            for members, flowlet_gap in cells
+            for shaper in shapers
+            for seed in seeds
+        ],
+    )
     suspects = [cell for cell in records if cell["on"]["suspected"]]
     recovered = [cell for cell in suspects if cell["on"]["recovered"]]
     # Determinism: the first suspect cell (or the first cell) re-run

@@ -1,6 +1,6 @@
 """False-negative / false-positive accounting for the evaluation."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -34,35 +34,27 @@ class RateCounter:
             return 0.0
         return self.false_positives / self.negatives
 
-    def __str__(self):
-        parts = []
-        if self.positives:
-            parts.append(
-                f"FN {self.false_negatives}/{self.positives} ({self.fn_rate:.1%})"
-            )
-        if self.negatives:
-            parts.append(
-                f"FP {self.false_positives}/{self.negatives} ({self.fp_rate:.1%})"
-            )
-        return ", ".join(parts) if parts else "no experiments"
 
+def tally(keys, records, positive, detector="loss_trend"):
+    """One detector's outcomes over detection records, grouped by key.
 
-@dataclass
-class SweepTable:
-    """Accumulates per-cell rates for the paper's tables (3, 4, 5, ...)."""
-
-    name: str
-    cells: dict = field(default_factory=dict)
-
-    def counter(self, key):
-        return self.cells.setdefault(key, RateCounter())
-
-    def rows(self):
-        for key in sorted(self.cells):
-            yield key, self.cells[key]
-
-    def format(self):
-        lines = [f"== {self.name} =="]
-        for key, counter in self.rows():
-            lines.append(f"  {key}: {counter}")
-        return "\n".join(lines)
+    ``keys`` holds one tuple per record; the result nests a
+    :class:`RateCounter`'s fields by the tuple's parts, e.g. keys
+    ``("netflix", "15")`` give ``table["netflix"]["15"]["positives"]``.
+    ``positive`` is the ground truth of every record.  A positive record
+    whose differentiation is not visible is counted nowhere: WeHe
+    would not have flagged that test (the paper drops such runs).
+    """
+    counters = {}
+    for key, record in zip(keys, records):
+        counter = counters.setdefault(tuple(key), RateCounter())
+        if positive and not record.differentiation_visible:
+            continue
+        counter.record(positive, record.verdicts[detector])
+    table = {}
+    for (*parents, leaf), counter in counters.items():
+        node = table
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = asdict(counter)
+    return table

@@ -10,8 +10,8 @@ ISP device across replays).  The replays are defined once, in
 service only builds the network (``_new_environment``), and a verdict's
 three replays run on two processes when they can.
 
-``run_detection_experiment`` is the cheaper harness used by the
-Section-6 benchmarks: it runs only the original-trace simultaneous
+``run_detection_experiment`` is the cheaper harness behind the
+Section-6 claims: it runs only the original-trace simultaneous
 replay and applies the common-bottleneck detectors directly, which is
 what the paper's FN/FP metrics are defined on.
 """

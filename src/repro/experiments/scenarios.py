@@ -141,7 +141,12 @@ class ScenarioConfig:
 
 
 def severity_grid(app, seeds, factors=INPUT_RATE_FACTORS, queues=QUEUE_FACTORS):
-    """The Section-6.2 grid: rate factor x queue factor x seeds."""
+    """The Section-6.2 grid: rate factor x queue factor x seeds.
+
+    ``seeds`` may be any iterable, a one-shot generator included: each
+    grid helper materializes it once, since every outer cell reuses it.
+    """
+    seeds = list(seeds)
     for factor in factors:
         for queue in queues:
             for seed in seeds:
@@ -155,6 +160,7 @@ def severity_grid(app, seeds, factors=INPUT_RATE_FACTORS, queues=QUEUE_FACTORS):
 
 def rtt_grid(app, seeds, rtts=RTT2_SWEEP, **common):
     """The Table-3 grid: asymmetric path RTTs x seeds."""
+    seeds = list(seeds)
     for rtt_2 in rtts:
         for seed in seeds:
             yield ScenarioConfig(app=app, rtt_2=rtt_2, seed=seed, **common)
@@ -162,6 +168,7 @@ def rtt_grid(app, seeds, rtts=RTT2_SWEEP, **common):
 
 def congestion_grid(app, seeds, factors=CONGESTION_FACTORS, **common):
     """The Table-4 grid: non-common-link congestion x seeds."""
+    seeds = list(seeds)
     for factor in factors:
         for seed in seeds:
             yield ScenarioConfig(
@@ -177,6 +184,7 @@ def multipath_grid(app, seeds, member_counts=(1, 2, 4), flowlet_gaps=(None,),
     replays co-hash with probability 1/N); ``flowlet_gaps`` adds the
     mid-test flowlet-split axis (None = sticky ECMP).
     """
+    seeds = list(seeds)
     for members in member_counts:
         for gap in flowlet_gaps:
             for seed in seeds:

@@ -9,10 +9,8 @@ Three layers, each importable on its own:
   trace through a sans-IO :class:`~repro.service.core.ServiceCore` and
   summarizes the outcome;
 - :mod:`repro.loadgen.scenarios` -- canned overload scenarios (ramp,
-  spike, sustained 2x, one-hot tenant) and the ``BENCH_service.json``
-  writer.
-
-CLI: ``python -m repro.loadgen`` (see ``--help``).
+  spike, sustained 2x, one-hot tenant), gated by the ``service`` claim
+  (``python -m repro.claims --only service``).
 
 Everything is deterministic by construction: seeded numpy arrival
 draws, SHA-256 chaos schedules, a virtual clock, and a core that never
@@ -26,10 +24,8 @@ from repro.loadgen.scenarios import (
     SCENARIOS,
     build_scenario,
     capacity_rps,
-    decision_sequence,
     run_scenario,
     service_config,
-    write_bench,
 )
 
 __all__ = [
@@ -40,10 +36,8 @@ __all__ = [
     "VirtualService",
     "build_scenario",
     "capacity_rps",
-    "decision_sequence",
     "generate_trace",
     "run_scenario",
     "service_config",
     "summarize",
-    "write_bench",
 ]

@@ -7,8 +7,8 @@ calls.  Engine "execution" is a duration query (the synthetic engine's
 deterministic cell-time model), so a 30-minute overload scenario
 replays in milliseconds -- and, because every input is seeded and every
 decision is the core's, two runs of the same scenario produce
-*identical* admission-decision sequences (asserted by the acceptance
-tests and the determinism check in :mod:`repro.loadgen.scenarios`).
+*identical* admission-decision sequences (asserted by the tests and
+by the ``service`` claim, :mod:`repro.claims.service`).
 
 Chaos: a :class:`repro.faults.chaos.ServiceChaosProfile` maps request
 indices to client misbehaviours -- ``malformed`` arrivals reach the
@@ -160,7 +160,7 @@ class VirtualService:
 
 
 def summarize(result, core):
-    """Plain-JSON metrics for one run (the BENCH_service.json payload)."""
+    """Plain-JSON metrics for one run."""
     by_status = result.by_status()
     latencies = sorted(
         response.queued_s + response.service_s

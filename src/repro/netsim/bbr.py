@@ -16,8 +16,8 @@ behaviour sufficient to study that question in the harness:
   governed by the model, exactly the property that changes WeHeY's
   loss-pattern landscape.
 
-The benchmark ``benchmarks/test_ablations.py`` compares Algorithm 1's
-behaviour under Cubic and BBR replays.
+The ``ablations`` claim (:mod:`repro.claims.ablations`) compares
+Algorithm 1's behaviour under Cubic and BBR replays.
 """
 
 from collections import deque

@@ -7,8 +7,8 @@ asyncio server (:mod:`repro.service.server`) wraps it with real sockets
 and a real clock; the load generator (:mod:`repro.loadgen`) wraps it
 with a virtual-time event loop -- and because the core is a pure
 function of its call sequence, two identical load traces produce
-byte-identical admission-decision sequences (an acceptance criterion,
-asserted in ``tests/loadgen/``).
+byte-identical admission-decision sequences (asserted in
+``tests/loadgen/`` and by the ``service`` claim).
 
 Lifecycle of one submission::
 

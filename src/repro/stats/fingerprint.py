@@ -473,37 +473,34 @@ def probe_features(config, entropy=0):
 
 
 def labelled_grid(shapers=DEFAULT_SHAPERS, apps=("netflix", "zoom"),
-                  seeds=range(2), duration=10.0, on_cell=None):
+                  seeds=range(2), duration=10.0):
     """Feature vectors + labels over the shaper x app x seed grid.
 
-    ``on_cell(label, app, seed, features)`` streams progress (the bench
-    uses it for per-cell logging).  Returns ``(features, labels,
-    groups)`` with one row per grid cell, shaper-major; ``groups`` is
-    each cell's transport protocol (the classifier's partition axis).
+    Each probe is one sweep-executor cell (every core; the features do
+    not depend on how many).  Returns ``(features, labels, groups)``
+    with one row per grid cell, shaper-major; ``groups`` is each cell's
+    transport protocol (the classifier's partition axis).
     """
+    from repro.parallel import SweepExecutor
     from repro.wehe.apps import APP_SPECS
 
-    features, labels, groups = [], [], []
-    for shaper in shapers:
-        for app in apps:
-            for seed in seeds:
-                config = probe_config(shaper, app=app, seed=seed,
-                                      duration=duration)
-                vector = probe_features(config)
-                features.append(vector)
-                labels.append(shaper)
-                groups.append(APP_SPECS[app].protocol)
-                if on_cell is not None:
-                    on_cell(shaper, app, seed, vector)
+    seeds = list(seeds)
+    cells = [(shaper, app, seed) for shaper in shapers for app in apps for seed in seeds]
+    configs = [
+        probe_config(shaper, app=app, seed=seed, duration=duration)
+        for shaper, app, seed in cells
+    ]
+    features = SweepExecutor().map(probe_features, configs)
+    labels = [shaper for shaper, _app, _seed in cells]
+    groups = [APP_SPECS[app].protocol for _shaper, app, _seed in cells]
     return np.asarray(features), labels, groups
 
 
 def train_fingerprinter(shapers=DEFAULT_SHAPERS, apps=("netflix", "zoom"),
-                        seeds=range(2), duration=10.0, on_cell=None):
+                        seeds=range(2), duration=10.0):
     """A fitted :class:`NearestCentroidClassifier` over seeded probes."""
     features, labels, groups = labelled_grid(
-        shapers=shapers, apps=apps, seeds=seeds, duration=duration,
-        on_cell=on_cell,
+        shapers=shapers, apps=apps, seeds=seeds, duration=duration
     )
     return NearestCentroidClassifier().fit(features, labels, groups=groups)
 

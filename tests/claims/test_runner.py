@@ -76,6 +76,27 @@ class TestReport:
         assert wall >= 0.0
 
 
+class TestGitCommit:
+    @pytest.fixture
+    def fake_git(self, monkeypatch):
+        """Canned answers for ``git rev-parse HEAD`` and ``git status``."""
+        answers = {}
+
+        def run(cmd, **kwargs):
+            return SimpleNamespace(returncode=0, stdout=answers[cmd[1]])
+
+        monkeypatch.setattr(repro.claims.subprocess, "run", run)
+        return answers
+
+    def test_clean_tree_names_its_commit(self, fake_git):
+        fake_git.update({"rev-parse": "abc123\n", "status": ""})
+        assert repro.claims.git_commit() == "abc123"
+
+    def test_changed_tracked_file_marks_the_commit_dirty(self, fake_git):
+        fake_git.update({"rev-parse": "abc123\n", "status": " M src/repro/api.py\n"})
+        assert repro.claims.git_commit() == "abc123-dirty"
+
+
 class TestCommittedReport:
     def test_repo_report_is_a_passing_full_run_of_every_claim(self):
         # The committed CLAIMS.json must re-check clean against today's

@@ -9,6 +9,9 @@ from repro.experiments.scenarios import (
     QUEUE_FACTORS,
     RTT2_SWEEP,
     ScenarioConfig,
+    congestion_grid,
+    multipath_grid,
+    rtt_grid,
     severity_grid,
 )
 from repro.netsim.topology import TopologyConfig
@@ -89,3 +92,14 @@ class TestSeverityGrid:
         cells = list(severity_grid("netflix", seeds=[0]))
         combos = {(c.input_rate_factor, c.queue_factor) for c in cells}
         assert len(combos) == len(INPUT_RATE_FACTORS) * len(QUEUE_FACTORS)
+
+
+@pytest.mark.parametrize(
+    "grid", [severity_grid, rtt_grid, congestion_grid, multipath_grid],
+    ids=lambda grid: grid.__name__,
+)
+def test_grid_takes_one_shot_seed_iterables(grid):
+    # Every outer cell reuses the seeds, so a generator must not be
+    # used up by the first one.
+    from_generator = list(grid("netflix", (seed for seed in range(3))))
+    assert from_generator == list(grid("netflix", range(3)))
