@@ -230,35 +230,6 @@ class ServiceChaosProfile:
         return cls(malformed=0.05, slow_client=0.05, disconnect=0.05,
                    seed=seed, name="smoke")
 
-    @classmethod
-    def parse(cls, spec):
-        """Build a profile from a spec string; None for "off".
-
-        Same grammar as :meth:`ChaosProfile.parse`:
-        ``malformed=0.1,disconnect=0.05,seed=3``, or ``smoke``.
-        """
-        spec = (spec or "").strip()
-        if spec in ("", "off", "none"):
-            return None
-        if spec == "smoke":
-            return cls.smoke()
-        values = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in (
-                "malformed", "slow_client", "disconnect", "seed", "slow_seconds",
-            ):
-                raise ValueError(f"bad service chaos spec element {part!r}")
-            try:
-                values[key] = int(value) if key == "seed" else float(value)
-            except ValueError:
-                raise ValueError(f"bad service chaos spec element {part!r}") from None
-        return cls(name="custom", **values)
-
 
 def chaos_from_env(environ=None):
     """The :class:`ChaosProfile` named by ``REPRO_CHAOS``, or None.
