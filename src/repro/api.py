@@ -1,7 +1,7 @@
 """``repro.api`` -- the supported programmatic surface for sweeps.
 
 Every paper table and figure is a sweep of independent cells.  This
-module runs every sweep flavour (detection, wild, T_diff) behind one
+module runs both sweep flavours (detection, wild) behind one
 request/result pair::
 
     from repro.api import SweepRequest, run_sweep
@@ -44,8 +44,6 @@ Common options on every request:
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.obs import MetricsSink, use_sink, write_jsonl
 from repro.obs import metrics as _obs
 from repro.parallel.executor import (
@@ -61,8 +59,8 @@ from repro.parallel.supervisor import DEFAULT_MAX_CELL_RETRIES
 class SweepRequest:
     """One sweep to run: a kind, its parameters, and execution options.
 
-    Build requests with the :meth:`detection` / :meth:`wild` /
-    :meth:`tdiff` constructors rather than directly -- they enforce
+    Build requests with the :meth:`detection` / :meth:`wild`
+    constructors rather than directly -- they enforce
     per-kind parameter validity (e.g. ``fault_profile`` exists only for
     detection sweeps) and build ``params["cells"]``, the list of cells
     the sweep computes.
@@ -194,64 +192,13 @@ class SweepRequest:
             strict=strict,
         )
 
-    @classmethod
-    def tdiff(
-        cls,
-        n_pairs=25,
-        *,
-        app="netflix",
-        duration=15.0,
-        base_seed=5000,
-        fidelity="packet",
-        jobs=1,
-        store=None,
-        no_cache=False,
-        on_result=None,
-        metrics=None,
-        cell_timeout=None,
-        max_cell_retries=DEFAULT_MAX_CELL_RETRIES,
-        strict=False,
-    ):
-        """A T_diff estimation sweep (back-to-back replay pairs).
-
-        Each pair replays on an undifferentiated path (no limiter) with
-        seed ``base_seed + pair``.  Results are a float ndarray of
-        ``n_pairs`` t_diff samples (a plain list when cells were
-        quarantined or the sweep drained).
-        """
-        from repro.experiments.scenarios import ScenarioConfig
-
-        configs = [
-            ScenarioConfig(
-                app=app,
-                limiter=None,
-                input_rate_factor=1.5,
-                duration=duration,
-                seed=base_seed + pair,
-                fidelity=fidelity,
-            )
-            for pair in range(int(n_pairs))
-        ]
-        return cls(
-            kind="tdiff",
-            params={"cells": configs},
-            jobs=jobs,
-            store=store,
-            no_cache=no_cache,
-            on_result=on_result,
-            metrics=metrics,
-            cell_timeout=cell_timeout,
-            max_cell_retries=max_cell_retries,
-            strict=strict,
-        )
-
 
 @dataclass(frozen=True)
 class SweepResult:
     """What :func:`run_sweep` returns.
 
-    ``results`` is a records list (detection), a summary-dict list
-    (wild) or a float ndarray (tdiff).
+    ``results`` is a records list (detection) or a summary-dict list
+    (wild), in cell order.
     ``hits``/``misses`` count cache activity (``hits == 0`` when no
     store was used); ``metrics`` is a :mod:`repro.obs` snapshot dict
     when the request asked for one, else ``None``.
@@ -292,8 +239,7 @@ class _Kind:
     it); ``key(cell, fingerprint=, schema_version=)`` is the cell's
     store key; ``encode``/``decode`` translate a result to and from the
     store's plain-JSON payload; ``ledger`` names the kind in the store's
-    run ledger; ``finish``, when set, converts the results list of a
-    sweep that completed with no quarantined cell.
+    run ledger.
     """
 
     task: object
@@ -301,7 +247,6 @@ class _Kind:
     encode: object
     decode: object
     ledger: str
-    finish: object = None
 
 
 def _detection_kind(params):
@@ -342,24 +287,9 @@ def _wild_kind(params):
     )
 
 
-def _tdiff_kind(params):
-    from repro.experiments.tdiff import _tdiff_pair
-    from repro.store import tdiff_cache_key
-
-    return _Kind(
-        task=_tdiff_pair,
-        key=tdiff_cache_key,
-        encode=lambda value: {"kind": "tdiff", "value": float(value)},
-        decode=lambda payload: payload["value"],
-        ledger="tdiff",
-        finish=np.asarray,
-    )
-
-
 _KINDS = {
     "detection": _detection_kind,
     "wild": _wild_kind,
-    "tdiff": _tdiff_kind,
 }
 
 
@@ -376,34 +306,29 @@ def _execute(request):
         strict=request.strict,
     )
     if store is None:
-        outcome = _run_plain_sweep(
+        return _run_plain_sweep(
             kind.task, cells, executor, on_result=request.on_result
         )
-    else:
-        keys = [
-            kind.key(
-                cell,
-                fingerprint=store.fingerprint,
-                schema_version=store.schema_version,
-            )
-            for cell in cells
-        ]
-        outcome = _run_cached_sweep(
-            kind.task,
-            cells,
-            keys,
-            store,
-            executor,
-            kind=kind.ledger,
-            decode=kind.decode,
-            encode=kind.encode,
-            no_cache=request.no_cache,
-            on_result=request.on_result,
+    keys = [
+        kind.key(
+            cell,
+            fingerprint=store.fingerprint,
+            schema_version=store.schema_version,
         )
-    results, hits, misses, failures, interrupted = outcome
-    if kind.finish is not None and not failures and not interrupted:
-        results = kind.finish(results)
-    return results, hits, misses, failures, interrupted
+        for cell in cells
+    ]
+    return _run_cached_sweep(
+        kind.task,
+        cells,
+        keys,
+        store,
+        executor,
+        kind=kind.ledger,
+        decode=kind.decode,
+        encode=kind.encode,
+        no_cache=request.no_cache,
+        on_result=request.on_result,
+    )
 
 
 def run_sweep(request):

@@ -13,7 +13,7 @@ Examples::
     python -m repro.cli localize --app netflix --limiter common
     python -m repro.cli localize --app zoom --limiter perflow --merge-flows
     python -m repro.cli topology --isps 8 --clients 6
-    python -m repro.cli topology --ases 1000 --backend columnar --dynamics-events 2
+    python -m repro.cli topology --ases 1000 --dynamics-events 2
     python -m repro.cli sweep --limiter noncommon --seeds 5 --jobs 4
     python -m repro.cli sweep --seeds 8 --store .repro-store --resume --json
     python -m repro.cli sweep --seeds 5 --metrics metrics.jsonl
@@ -195,11 +195,7 @@ def cmd_localize(args):
 def cmd_topology(args):
     from repro.mlab.annotations import AnnotationDatabase
     from repro.mlab.internet import SyntheticInternet
-    from repro.mlab.tables import annotation_table, traceroute_table
-    from repro.mlab.topology_construction import (
-        TopologyConstructor,
-        build_topology_from_tables,
-    )
+    from repro.mlab.topology_construction import TopologyConstructor
     from repro.mlab.traceroute import collect_month
 
     rng = np.random.default_rng(args.seed)
@@ -223,13 +219,7 @@ def cmd_topology(args):
     annotations = AnnotationDatabase(internet)
     tc = TopologyConstructor(annotations)
     stats = tc.coverage(records)
-    if args.backend == "object":
-        database = tc.build(records)
-    else:
-        database = build_topology_from_tables(
-            traceroute_table(records, backend=args.backend),
-            annotation_table(annotations, backend=args.backend),
-        )
+    database = tc.build(records)
     if args.ases:
         print(f"AS graph              : {len(internet.graph.asns)} ASes, "
               f"{internet.graph.n_edges} edges")
@@ -542,11 +532,6 @@ def build_parser():
         "--ases", type=int, default=None, metavar="N",
         help="use the repro.inet policy-routed AS graph with N ASes "
              "(default: the legacy hand-wired synthetic internet)",
-    )
-    topology.add_argument(
-        "--backend", default="object", choices=["object", "row", "columnar"],
-        help="TC pipeline: 'object' runs over records, 'row'/'columnar' "
-             "run the BigQuery-shaped table joins on that backend",
     )
     topology.add_argument(
         "--dynamics-events", type=int, default=0, metavar="N",

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.netsim.capture import binned_loss_counts
+
 DEFAULT_RTT_MULTIPLES = (10, 15, 20, 25, 30, 35, 40, 45, 50)
 
 
@@ -48,17 +50,10 @@ def path_loss_series(measurements_1, measurements_2, interval, min_packets=10):
     Intervals where either path transmitted fewer than ``min_packets``
     are discarded.
     """
-    lo1, hi1 = measurements_1.time_span()
-    lo2, hi2 = measurements_2.time_span()
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if hi - lo < interval:
+    counts = binned_loss_counts(measurements_1, measurements_2, interval)
+    if counts is None:
         return np.array([]), np.array([])
-    n_bins = int((hi - lo) / interval)
-    edges = lo + np.arange(n_bins + 1) * interval
-    txed1, _ = np.histogram(measurements_1.send_times, bins=edges)
-    txed2, _ = np.histogram(measurements_2.send_times, bins=edges)
-    lost1, _ = np.histogram(measurements_1.loss_times, bins=edges)
-    lost2, _ = np.histogram(measurements_2.loss_times, bins=edges)
+    txed1, txed2, lost1, lost2 = counts
     keep = (txed1 >= min_packets) & (txed2 >= min_packets)
     if not np.any(keep):
         return np.array([]), np.array([])

@@ -6,7 +6,6 @@
   scenario and implements the localizer's replay-service interface;
 - :mod:`~repro.experiments.wild` -- the five-ISP in-the-wild models of
   Section 5 (per-client throttling, incl. ISP5's delayed trigger);
-- :mod:`~repro.experiments.tdiff` -- simulator-derived T_diff;
 - :mod:`~repro.experiments.metrics` -- FN/FP accounting.
 """
 

@@ -225,12 +225,11 @@ class OverlappedReplays:
     order, forks one child that runs both and pipes their results back,
     and meanwhile runs the inverted replay in this process.  It stays
     serial with one job, without ``fork``, with metrics on (they belong
-    to the process that owns the sink), and with a fault injector or a
-    path flap (their draws depend on which replays ran).
+    to the process that owns the sink), and with a fault injector (its
+    draws depend on which replays ran).
     """
 
     fault_injector = None
-    path_flap = None
     merge_flows = False
     #: When True, a third server replays the original trace beside every
     #: original simultaneous replay (the wild sanity check).
@@ -260,7 +259,6 @@ class OverlappedReplays:
             or not fork_available()
             or _obs.ENABLED
             or self.fault_injector is not None
-            or self.path_flap is not None
         ):
             return serial_replays(self, original, inverted)
         return self._overlapped(original, inverted)
@@ -466,7 +464,7 @@ class NetsimReplayService(OverlappedReplays):
     """
 
     def __init__(self, config, entropy=0, merge_flows=False, fault_injector=None,
-                 replay_ports=None, path_flap=None):
+                 replay_ports=None):
         self.config = config
         self._seed_seq = np.random.SeedSequence([config.seed, entropy])
         self._trace_rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
@@ -482,16 +480,10 @@ class NetsimReplayService(OverlappedReplays):
         # (the coordinator's re-hash recovery) re-rolls which member
         # each replay lands on.  None keeps the derived default tuples.
         self.replay_ports = replay_ports
-        # A repro.faults.PathFlapInjector armed once per replay run.
-        self.path_flap = path_flap
 
     def _new_environment(self):
         env = _Environment(self.config, self._seed_seq.spawn(1)[0])
         self._register_ports(env)
-        if self.path_flap is not None:
-            self.path_flap.arm(
-                env.sim, env.topology.link_c, WARMUP, self.config.duration
-            )
         return env
 
     def _register_ports(self, env):

@@ -176,27 +176,6 @@ def congestion_grid(app, seeds, factors=CONGESTION_FACTORS, **common):
             )
 
 
-def multipath_grid(app, seeds, member_counts=(1, 2, 4), flowlet_gaps=(None,),
-                   **common):
-    """The ECMP confounder grid: member count x flowlet gap x seeds.
-
-    ``member_counts`` sets the hash-collision probability axis (the two
-    replays co-hash with probability 1/N); ``flowlet_gaps`` adds the
-    mid-test flowlet-split axis (None = sticky ECMP).
-    """
-    seeds = list(seeds)
-    for members in member_counts:
-        for gap in flowlet_gaps:
-            for seed in seeds:
-                yield ScenarioConfig(
-                    app=app,
-                    multipath=members,
-                    flowlet_gap_s=gap,
-                    seed=seed,
-                    **common,
-                )
-
-
 def seed_sweep(base_config, seeds):
     """One cell replicated across seeds (the FN/FP rate estimator).
 

@@ -22,7 +22,6 @@ Usage::
 """
 
 from repro.faults.chaos import ChaosError, ChaosProfile, chaos_from_env
-from repro.faults.flap import PathFlapInjector, PathFlapPlan, plan_path_flap
 from repro.faults.injector import (
     FaultInjectionError,
     FaultInjector,
@@ -43,8 +42,6 @@ __all__ = [
     "FaultProfile",
     "FaultRule",
     "FaultSite",
-    "PathFlapInjector",
-    "PathFlapPlan",
     "ReplayAbortedError",
     "RetryBudget",
     "RetryPolicy",
@@ -52,5 +49,4 @@ __all__ = [
     "TracerouteTimeoutError",
     "chaos_from_env",
     "maybe_fire",
-    "plan_path_flap",
 ]

@@ -130,19 +130,12 @@ class TopologyConstructor:
 
     # -- the four steps per destination -------------------------------
 
-    def candidate_intermediate_nodes(self, record, destination_asn):
-        """Step 2: hops located in the destination's ISP."""
-        return tuple(
-            hop.ip
-            for hop in record.hops
-            if self.annotations.asn(hop.ip) == destination_asn
-            and hop.ip != record.destination_ip
-        )
-
     def pair_is_suitable(self, record_1, record_2, destination_asn):
-        """Step 3: >=1 common in-ISP candidate; no common node outside.
+        """Steps 2-3: >=1 common in-ISP candidate; no common node outside.
 
-        Node comparison is by raw IP (no alias resolution), as in the
+        The candidate intermediate nodes (step 2) are the hops inside
+        the destination's ISP; only the common ones matter here.  Node
+        comparison is by raw IP (no alias resolution), as in the
         paper's implementation.
         """
         hops_1 = {hop.ip for hop in record_1.hops} - {record_1.destination_ip}

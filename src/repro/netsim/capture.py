@@ -119,6 +119,31 @@ class PathMeasurements:
         return min(times), max(times)
 
 
+def binned_loss_counts(measurements_1, measurements_2, interval):
+    """Per-interval packet counts over the two paths' common time span.
+
+    Divides the span into whole intervals of ``interval`` seconds and
+    returns ``(sent_1, sent_2, lost_1, lost_2)`` count arrays, or None
+    when the span is shorter than one interval.
+    """
+    lo1, hi1 = measurements_1.time_span()
+    lo2, hi2 = measurements_2.time_span()
+    lo, hi = min(lo1, lo2), max(hi1, hi2)
+    if hi - lo < interval:
+        return None
+    n_bins = int((hi - lo) / interval)
+    edges = lo + np.arange(n_bins + 1) * interval
+    return tuple(
+        np.histogram(times, bins=edges)[0]
+        for times in (
+            measurements_1.send_times,
+            measurements_2.send_times,
+            measurements_1.loss_times,
+            measurements_2.loss_times,
+        )
+    )
+
+
 def binned_loss_series(measurements_1, measurements_2, interval, min_packets=10):
     """Create the paired loss-rate time series of Algorithm 1, line 4.
 
@@ -130,19 +155,10 @@ def binned_loss_series(measurements_1, measurements_2, interval, min_packets=10)
     Returns ``(loss_rate_1, loss_rate_2)`` as numpy arrays (possibly
     empty).
     """
-    lo1, hi1 = measurements_1.time_span()
-    lo2, hi2 = measurements_2.time_span()
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    if hi - lo < interval:
+    counts = binned_loss_counts(measurements_1, measurements_2, interval)
+    if counts is None:
         return np.array([]), np.array([])
-    n_bins = int((hi - lo) / interval)
-    edges = lo + np.arange(n_bins + 1) * interval
-
-    txed1, _ = np.histogram(measurements_1.send_times, bins=edges)
-    txed2, _ = np.histogram(measurements_2.send_times, bins=edges)
-    lost1, _ = np.histogram(measurements_1.loss_times, bins=edges)
-    lost2, _ = np.histogram(measurements_2.loss_times, bins=edges)
-
+    txed1, txed2, lost1, lost2 = counts
     keep = (
         (txed1 >= min_packets)
         & (txed2 >= min_packets)
@@ -150,6 +166,4 @@ def binned_loss_series(measurements_1, measurements_2, interval, min_packets=10)
     )
     if not np.any(keep):
         return np.array([]), np.array([])
-    rate1 = lost1[keep] / txed1[keep]
-    rate2 = lost2[keep] / txed2[keep]
-    return rate1, rate2
+    return lost1[keep] / txed1[keep], lost2[keep] / txed2[keep]

@@ -130,8 +130,6 @@ class MultipathLink:
             Link(sim, f"{name}.m{i}", bandwidth_bps, delay_s, qdisc)
             for i, qdisc in enumerate(member_qdiscs)
         )
-        self._up = list(range(len(self.members)))
-        self._up_set = set(self._up)
         self._keys = {}    # flow_id -> five-tuple key string (registered ports)
         self._flows = {}   # flow_id -> [member_index, last_send_time, epoch]
         self.packets_offered = 0
@@ -202,8 +200,7 @@ class MultipathLink:
         return self._pick(self.flow_key(flow_id), epoch)
 
     def _pick(self, key, epoch):
-        up = self._up
-        return up[ecmp_hash(key, self.seed, epoch) % len(up)]
+        return ecmp_hash(key, self.seed, epoch) % len(self.members)
 
     def _count_rehash(self):
         self.rehashes += 1
@@ -233,12 +230,6 @@ class MultipathLink:
                 self._record_assignment(flow_id, now, member)
                 if _obs.ENABLED:
                     _obs.SINK.inc("netsim.multipath.flowlet_switches")
-        elif member not in self._up_set:
-            # The member went down mid-test (path flap): consistent
-            # re-hash over the surviving members.
-            state[0] = member = self._pick(self._keys[flow_id], epoch)
-            self._record_assignment(flow_id, now, member)
-            self._count_rehash()
         state[1] = now
         return member
 
@@ -252,25 +243,3 @@ class MultipathLink:
         """
         self.packets_offered += 1
         self.members[self._route(packet.flow_id)].send(packet)
-
-    # -- failures --------------------------------------------------------
-
-    def fail_member(self, index):
-        """Take member ``index`` down (a path flap).
-
-        Flows routed on it re-hash over the survivors on their next
-        packet.  The last surviving member never fails -- a bundle with
-        zero members is a partition, not a flap -- and failing it
-        raises instead.
-        """
-        if index not in self._up_set:
-            raise ValueError(f"member {index} is not up")
-        if len(self._up) == 1:
-            raise ValueError("cannot fail the last up member")
-        self._up.remove(index)
-        self._up_set.discard(index)
-
-    @property
-    def up_members(self):
-        """Indices of the members currently carrying traffic."""
-        return tuple(self._up)

@@ -3,7 +3,6 @@
 Everything here is implemented directly (and cross-checked against scipy
 in the test suite):
 
-- :func:`~repro.stats.empirical.ecdf` and friends -- empirical CDFs,
 - :func:`~repro.stats.ks.ks_2samp` -- two-sample Kolmogorov-Smirnov
   (WeHe's differentiation detector),
 - :func:`~repro.stats.mwu.mann_whitney_u` -- one-sided Mann-Whitney U
@@ -17,7 +16,6 @@ in the test suite):
   features).
 """
 
-from repro.stats.empirical import ecdf, ecdf_at, quantile
 from repro.stats.fingerprint import (
     FingerprintReport,
     NearestCentroidClassifier,
@@ -31,9 +29,6 @@ from repro.stats.montecarlo import relative_mean_difference, relative_mean_diffe
 from repro.stats.spearman import rankdata, spearman_rho, spearman_test
 
 __all__ = [
-    "ecdf",
-    "ecdf_at",
-    "quantile",
     "ks_2samp",
     "mann_whitney_u",
     "rankdata",

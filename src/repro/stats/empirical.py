@@ -1,36 +1,6 @@
-"""Empirical distributions: ECDFs and quantiles."""
+"""Empirical distribution summaries."""
 
 import numpy as np
-
-
-def ecdf(samples):
-    """Empirical CDF of ``samples``.
-
-    Returns ``(xs, ps)`` where ``xs`` are the sorted unique sample
-    values and ``ps[i]`` is the fraction of samples ``<= xs[i]``.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("ecdf of an empty sample")
-    xs, counts = np.unique(samples, return_counts=True)
-    ps = np.cumsum(counts) / samples.size
-    return xs, ps
-
-
-def ecdf_at(samples, x):
-    """Evaluate the ECDF of ``samples`` at point(s) ``x``."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("ecdf of an empty sample")
-    return np.searchsorted(samples, x, side="right") / samples.size
-
-
-def quantile(samples, q):
-    """Empirical quantile(s) (linear interpolation, like numpy default)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("quantile of an empty sample")
-    return np.quantile(samples, q)
 
 
 def summarize(samples):

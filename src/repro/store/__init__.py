@@ -31,7 +31,6 @@ from repro.store.keys import (
     code_fingerprint,
     detection_cache_key,
     fault_profile_id,
-    tdiff_cache_key,
     wild_cache_key,
 )
 from repro.store.serialize import (
@@ -57,6 +56,5 @@ __all__ = [
     "record_from_dict",
     "record_line",
     "record_to_dict",
-    "tdiff_cache_key",
     "wild_cache_key",
 ]

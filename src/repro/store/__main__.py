@@ -32,8 +32,6 @@ def _summarize(envelope):
             f"isp={cell.get('isp')} app={cell.get('app')} "
             f"seed={cell.get('seed')} outcome={cell.get('outcome')}"
         )
-    elif kind == "tdiff":
-        detail = f"value={payload.get('value')}"
     else:
         detail = ""
     return kind, detail
@@ -121,7 +119,7 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     ls = subparsers.add_parser("ls", help="list cached records")
-    ls.add_argument("--kind", choices=["detection", "wild", "tdiff"], default=None)
+    ls.add_argument("--kind", choices=["detection", "wild"], default=None)
     ls.add_argument("--limit", type=int, default=0, help="max rows (0 = all)")
     ls.set_defaults(func=cmd_ls)
 

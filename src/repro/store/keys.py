@@ -145,15 +145,3 @@ def wild_cache_key(
             "schema_version": plain(schema_version),
         }
     )
-
-
-def tdiff_cache_key(config, fingerprint=None, schema_version=STORE_SCHEMA_VERSION):
-    """Key for one T_diff back-to-back replay pair."""
-    return _digest(
-        {
-            "kind": "tdiff",
-            "config": config_to_dict(config),
-            "fingerprint": plain(fingerprint or code_fingerprint()),
-            "schema_version": plain(schema_version),
-        }
-    )

@@ -5,15 +5,11 @@ tests run less than 10 minutes apart by the same client, on the same
 app and carrier, it records the relative difference of the two
 bit-inverted-replay throughput means.
 
-The paper computes T_diff from the public wehe-data corpus; offline we
-build an equivalent corpus two ways:
-
-- :func:`generate_corpus` -- a statistical corpus: per-(client,
-  carrier) base rates with multiplicative lognormal test-to-test noise
-  (the measured quantity the corpus supplies is exactly this
-  variation);
-- ``repro.api.run_sweep(SweepRequest.tdiff(...))`` -- pairs of actual
-  back-to-back simulator replays, when full fidelity is wanted.
+The paper computes T_diff from the public wehe-data corpus; offline,
+:func:`generate_corpus` builds an equivalent statistical corpus:
+per-(client, carrier) base rates with multiplicative lognormal
+test-to-test noise (the measured quantity the corpus supplies is
+exactly this variation).
 """
 
 from dataclasses import dataclass

@@ -29,7 +29,6 @@ class TestSweepRequest:
     def test_constructors_set_kind(self):
         assert SweepRequest.detection([]).kind == "detection"
         assert SweepRequest.wild().kind == "wild"
-        assert SweepRequest.tdiff().kind == "tdiff"
 
     def test_requests_are_frozen(self):
         request = SweepRequest.detection([])
@@ -50,16 +49,11 @@ class TestSweepRequest:
             "hybrid",
         ]
 
-    def test_wild_and_tdiff_carry_fidelity(self):
+    def test_wild_carries_fidelity(self):
         assert SweepRequest.wild().params["fidelity"] == "packet"
         assert (
             SweepRequest.wild(fidelity="hybrid").params["fidelity"] == "hybrid"
         )
-        assert {c.fidelity for c in SweepRequest.tdiff().params["cells"]} == {
-            "packet"
-        }
-        hybrid = SweepRequest.tdiff(fidelity="hybrid")
-        assert {c.fidelity for c in hybrid.params["cells"]} == {"hybrid"}
 
 
 class TestSweepResult:

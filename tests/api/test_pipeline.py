@@ -5,7 +5,6 @@ rerun must be all hits, simulate nothing, and give back exactly what
 the cold run (and a store-less run, and a ``jobs=2`` run) computed.
 """
 
-import numpy as np
 import pytest
 
 from repro.api import SweepRequest, run_sweep
@@ -29,15 +28,10 @@ def _wild(**options):
     return SweepRequest.wild(["ISP1"], seeds=range(2), fidelity="hybrid", **options)
 
 
-def _tdiff(**options):
-    return SweepRequest.tdiff(2, duration=DURATION, **options)
-
-
 # kind -> (request factory, ledger kind)
 KINDS = {
     "detection": (_detection, "detection_sweep"),
     "wild": (_wild, "wild_sweep"),
-    "tdiff": (_tdiff, "tdiff"),
 }
 
 
@@ -45,9 +39,6 @@ def _comparable(result):
     """A result list in a form ``==`` compares exactly."""
     if result.kind == "detection":
         return [record_line(record) for record in result.results]
-    if result.kind == "tdiff":
-        assert isinstance(result.results, np.ndarray)
-        return result.results.tolist()
     return list(result.results)
 
 

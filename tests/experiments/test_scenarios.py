@@ -10,7 +10,6 @@ from repro.experiments.scenarios import (
     RTT2_SWEEP,
     ScenarioConfig,
     congestion_grid,
-    multipath_grid,
     rtt_grid,
     severity_grid,
 )
@@ -95,7 +94,7 @@ class TestSeverityGrid:
 
 
 @pytest.mark.parametrize(
-    "grid", [severity_grid, rtt_grid, congestion_grid, multipath_grid],
+    "grid", [severity_grid, rtt_grid, congestion_grid],
     ids=lambda grid: grid.__name__,
 )
 def test_grid_takes_one_shot_seed_iterables(grid):

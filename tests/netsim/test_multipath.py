@@ -125,29 +125,6 @@ class TestMultipathLink:
                 break
         assert moved  # some port re-draw must re-hash an 8-member bundle
 
-    def test_fail_member_rehashes_flows(self):
-        sim = Simulator()
-        bundle = make_bundle(sim, 2, seed=0)
-        sink = Sink(sim)
-        path = Path([bundle], sink)
-        path.inject(Packet("f", DATA, 0, 1000))
-        sim.run()
-        victim = bundle.current_assignment("f")
-        bundle.fail_member(victim)
-        path.inject(Packet("f", DATA, 1, 1000))
-        sim.run()
-        assert bundle.current_assignment("f") != victim
-        assert bundle.rehashes == 1
-
-    def test_fail_last_member_refused(self):
-        sim = Simulator()
-        bundle = make_bundle(sim, 2)
-        bundle.fail_member(0)
-        with pytest.raises(ValueError):
-            bundle.fail_member(1)
-        with pytest.raises(ValueError):
-            bundle.fail_member(0)  # already down
-
     def test_flowlet_gap_switches_members(self):
         sim = Simulator()
         bundle = make_bundle(sim, 2, seed=2, flowlet_gap_s=0.05)

@@ -1,9 +1,9 @@
-"""ECDF and Monte-Carlo subsampling tests."""
+"""Empirical summary and Monte-Carlo subsampling tests."""
 
 import numpy as np
 import pytest
 
-from repro.stats.empirical import ecdf, ecdf_at, quantile, summarize
+from repro.stats.empirical import summarize
 from repro.stats.montecarlo import (
     relative_mean_difference,
     relative_mean_difference_distribution,
@@ -16,30 +16,6 @@ def rng():
 
 
 class TestEcdf:
-    def test_monotone_and_bounded(self, rng):
-        xs, ps = ecdf(rng.normal(0, 1, 100))
-        assert np.all(np.diff(ps) > 0) or len(ps) == 1
-        assert ps[-1] == pytest.approx(1.0)
-        assert ps[0] > 0.0
-
-    def test_duplicates_collapse(self):
-        xs, ps = ecdf([1, 1, 2, 3, 3, 3])
-        np.testing.assert_allclose(xs, [1, 2, 3])
-        np.testing.assert_allclose(ps, [2 / 6, 3 / 6, 1.0])
-
-    def test_ecdf_at_points(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert ecdf_at(samples, 2.5) == 0.5
-        assert ecdf_at(samples, 0.0) == 0.0
-        assert ecdf_at(samples, 4.0) == 1.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ecdf([])
-
-    def test_quantile(self):
-        assert quantile([1, 2, 3, 4, 5], 0.5) == 3
-
     def test_summarize_fields(self, rng):
         stats = summarize(rng.uniform(0, 10, 50))
         assert stats["min"] <= stats["q1"] <= stats["median"]

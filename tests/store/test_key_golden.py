@@ -25,7 +25,6 @@ from repro.store import (
     config_to_dict,
     detection_cache_key,
     record_line,
-    tdiff_cache_key,
     wild_cache_key,
 )
 
@@ -53,7 +52,6 @@ def golden_keys():
     keys = {}
     for name, config in CONFIGS.items():
         keys[f"detection/{name}"] = detection_cache_key(config, fingerprint="golden")
-        keys[f"tdiff/{name}"] = tdiff_cache_key(config, fingerprint="golden")
     knobs = {
         "unmodified": {"modified": False},
         "entropy": {"entropy": 1},
@@ -112,53 +110,29 @@ def golden_records():
 
 GOLDEN_KEYS = {
     "detection/base": "57ac6f26f98b2cd98eda07914e178baac1442b9ca65e0b10558a11f1ec17fe13",
-    "tdiff/base": "ca24ce8bdb72e65f84b0a05986f85c062b9b094685bec460da87ace5ac9c835f",
     "detection/field:app": "755ff4ee4f0212e5c3f743497a5d617d105f501b7d46344bcb38da4379614e7b",
-    "tdiff/field:app": "e7fd6d5e498750e16fe284e726b7dd2fd22fa7e3289f0d26c7428fa2aa7d9604",
     "detection/field:limiter": "b2b9d97bddfe193225a017abe679a4cd88c238da3978b5985e7da20faea91746",
-    "tdiff/field:limiter": "d106227368784a2b0625744f3d1af4382b7adc36f7fe3c8d83255032cdb9218f",
     "detection/field:input_rate_factor": "78698c556b3cb8a625d23b74130c2886911a2ddd21d98ba3c1b30999b5ca3f53",
-    "tdiff/field:input_rate_factor": "2659b6a2240fa212b47b98a261171aa59527e891848126cabd0a4c03db3638b1",
     "detection/field:queue_factor": "c92db398f54d48925d23dcc36e1d1306c84c8b325d604f81f984bc9593f334e7",
-    "tdiff/field:queue_factor": "ce1c14f71b8cb3f1a3df0126a0c4f0c57540509b114333e2699a1af58a16421c",
     "detection/field:background_share": "a821c800376487e7afca878d3285f5f46ae6e2c3d6502cb1f2fb3756c5e9cf33",
-    "tdiff/field:background_share": "ec4da0ffae3506ed7dc5cd8507127b11bec78f966eeb90609a29edff4d2dac04",
     "detection/field:background_rate_bps": "462ccb41924b402590aee76d8805c225bf5ce27c7264bd6e4991289aa4d22ad4",
-    "tdiff/field:background_rate_bps": "cecde3c9d891f2492c5d949227656c7060bdbbcf02d6d5a1e6fc91dc2045c4ce",
     "detection/field:tcp_background_flows": "b23b5c47abdbe7f9916ecf7e4452185788e8a906019a22948282b23f59520d8e",
-    "tdiff/field:tcp_background_flows": "47dca8f7e853f3c0d049116e6ffb87534728b4217aac1d7111208c220986ff1c",
     "detection/field:rtt_1": "a6b2ad9f2144b1551be4466cd60420e8a33a96cab774dfa83258be1afce13536",
-    "tdiff/field:rtt_1": "60652ded8006b077e36cfb59fccded61620b8ba95ad57d921cd164f37fa58aeb",
     "detection/field:rtt_2": "e8f6d2b9cd855acff59fdf4ea709b5116df9024c6c7bd152fef96bed707ce0e6",
-    "tdiff/field:rtt_2": "7add20695dce45d59b26ddf51e33503ceb939fe5b4754029138b7e6b34f0ef6b",
     "detection/field:congestion_factor": "0ffae5c6dfeb9620ba78c80d5390229713f6fa729b441cbaf952d9ab74cc90fc",
-    "tdiff/field:congestion_factor": "5e0d121640a6532d8bfc7154814ae6280885a48304957e7c55d457927ffad02f",
     "detection/field:duration": "51a35a027afd618f4aceef07d6d248835b0a863080e34022119930eb8ff01f5c",
-    "tdiff/field:duration": "f015d8867667c8853e1feda1952aae319ccea30d0432f98b3b44061511a86acc",
     "detection/field:background_modulation": "856a297b07cf64e01369d112b15fe91260c7ce5df71d09e696ac2905bb772c0b",
-    "tdiff/field:background_modulation": "0e47bd9b96a819b08c302281908ac8baeacee91f2777777aa55a192b4b118b84",
     "detection/field:seed": "690695332784d85b619e695dfa4ecdf4637804449c6a4bed4fbc172500fb5ac6",
-    "tdiff/field:seed": "b2fd9370733956753eab2f5a291de142ac4829cbb2e03780ff7edada4f6c9d43",
     "detection/field:overcount_rate": "f6543cdcdc7c2119855a0fb892dbbc8079a48a405ccf377ecf0324ac625d8bdd",
-    "tdiff/field:overcount_rate": "31bdd91c2e68161621cbba19dc760fc6e1eb8afb855ca4188a892714def39403",
     "detection/field:registration_jitter": "8263b90fe81fbe51be472965a66968b8911b169ac112025e73574853760333e0",
-    "tdiff/field:registration_jitter": "e97efd3a5044aaf196228e35f1d25c511187af05924b4f93aea6c0f0ab653cb9",
     "detection/field:fidelity": "f57518a07fc04941556b87f000592553f661997dc73eeffe373e785476ceaaac",
-    "tdiff/field:fidelity": "ec28046f35b3037f30b958bff0a68387ae2b342ccbbb65d5fc3c2504c9d15b7d",
     "detection/field:shaper": "8f3f6aaefcefcd77af0e94f735fb2f656a789117d9d72d81a2e7d0d8d31ceb77",
-    "tdiff/field:shaper": "ab9073461a667d4b5582f65d3fba8f852e280ddc17d3ae42ee1aad89e6661a21",
     "detection/field:shaper_params": "49eda79fb903f1e15292ddab4cd613f46d8834f31dcc4d219d0c248ab499ca7a",
-    "tdiff/field:shaper_params": "a0ad695d0cd7f68146474e1a37f4d6cf2c3a368f8cebe5e468acba582220c3d4",
     "detection/field:multipath": "ca3edd63434f938ad57877dca7c6532d7a35f65f097654ef7a65be0955af1f50",
-    "tdiff/field:multipath": "2d9d922be46eb81e174b02ce76c80074bee8e322d3f02463cf95b3742300f4cd",
     "detection/field:flowlet_gap_s": "c8dafec1f7e3df6463fd2f868e6004675b2f793ddfe5dfc595abb40ca4602699",
-    "tdiff/field:flowlet_gap_s": "9317a697df6f02369b527b567f22248c91191dbdf391566b7114bc1de9b399ba",
     "detection/field:multipath_shaped": "79a89eb0c43a037c72cd8fc88bed9a0de4b0a46064d05c484cd3d8167aa079df",
-    "tdiff/field:multipath_shaped": "a2894acae04d96a3d7bea395bd2d9c9a9a2bd7db5e2707d407d30af908bc0cca",
     "detection/numpy_knobs": "91a247981e2b4a54addf758c98fe5c51157a5f23cb74c96d84658697f415ab1e",
-    "tdiff/numpy_knobs": "de6f326d7a43da11da70c1044cef605317be95d06f5cd14ebed5335613cd1ee5",
     "detection/int_duration": "56eafefaad7a5fe01b15d2006ea1d712b6bd6aca681fdfe3b2934d8e9aeeaafe",
-    "tdiff/int_duration": "9f62b0239ff2888fd85771979e5f8781485009668f377d312c1c850ca335afe8",
     "detection/knob:unmodified": "4205bfd7e7656753efdbe29e572af7600766b3304d3cd79ab7111c9eb027358c",
     "detection/knob:entropy": "96aac0edac5351da1f0f60b924ba8558bfe54f3465e3fce0f98c0090c6da1235",
     "detection/knob:numpy_entropy": "8c578ce19fbce005161ab86727704b49afdeb25ebbb6fef1024d39c3f80d21cd",

@@ -8,7 +8,6 @@ from repro.store import (
     code_fingerprint,
     detection_cache_key,
     fault_profile_id,
-    tdiff_cache_key,
     wild_cache_key,
 )
 
@@ -86,7 +85,9 @@ class TestDetectionKeyStability:
         )
 
     def test_kinds_do_not_collide(self):
-        assert detection_cache_key(BASE) != tdiff_cache_key(BASE)
+        assert detection_cache_key(BASE) != wild_cache_key(
+            "ISP1", BASE.app, BASE.seed
+        )
 
 
 class TestShaperKeyCompat:

@@ -37,10 +37,24 @@ class TestStoreCli:
 
     def test_ls_kind_filter(self, tmp_path, capsys):
         store = _populated(tmp_path)
-        store.put("cc" + "0" * 62, {"kind": "tdiff", "value": 0.1})
-        assert store_main(["--root", str(store.root), "ls", "--kind", "tdiff"]) == 0
+        store.put("cc" + "0" * 62, {"kind": "wild", "cell": {"isp": "ISP1"}})
+        assert store_main(["--root", str(store.root), "ls", "--kind", "wild"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 1 and "tdiff" in lines[0]
+        assert len(lines) == 1 and "isp=ISP1" in lines[0]
+
+    def test_legacy_tdiff_record_stays_readable(self, tmp_path, capsys):
+        # Stores written before the simulated T_diff sweep was removed
+        # hold {"kind": "tdiff"} envelopes; they list with no detail.
+        store = _populated(tmp_path)
+        store.put("cc" + "0" * 62, {"kind": "tdiff", "value": 0.1})
+        root = str(store.root)
+        assert store_main(["--root", root, "ls"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3
+        legacy = [line for line in lines if line.startswith("cc")]
+        assert [line.split() for line in legacy] == [["cc" + "0" * 14, "tdiff"]]
+        assert store_main(["--root", root, "stats"]) == 0
+        assert store_main(["--root", root, "gc", "--dry-run"]) == 0
 
     def test_show_by_prefix(self, tmp_path, capsys):
         store = _populated(tmp_path)

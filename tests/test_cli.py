@@ -48,8 +48,7 @@ class TestCommands:
 
     def test_topology_command_policy_internet(self, capsys):
         code = main(["topology", "--ases", "200", "--isps", "4",
-                     "--clients", "2", "--seed", "1",
-                     "--backend", "columnar"])
+                     "--clients", "2", "--seed", "1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "AS graph" in out

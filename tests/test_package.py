@@ -19,7 +19,6 @@ PUBLIC_MODULES = [
     "repro.experiments.metrics",
     "repro.experiments.runner",
     "repro.experiments.scenarios",
-    "repro.experiments.tdiff",
     "repro.experiments.wild",
     "repro.mlab",
     "repro.mlab.annotations",

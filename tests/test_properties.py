@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.netsim.capture import PathMeasurements, binned_loss_series
 from repro.netsim.packet import DATA, Packet
 from repro.netsim.token_bucket import TokenBucketFilter
-from repro.stats.empirical import ecdf
 from repro.stats.mwu import mann_whitney_u
 from repro.stats.spearman import rankdata, spearman_rho
 from repro.wehe.traces import Trace, bit_invert, extend_to_duration
@@ -147,16 +146,6 @@ class TestQdiscProperties:
         restored = config_from_dict(config_to_dict(config))
         assert restored == config
         assert restored.shaper_params == params
-
-
-class TestEcdfProperties:
-    @given(st.lists(finite_floats, min_size=1, max_size=200))
-    @settings(max_examples=80)
-    def test_monotone_nondecreasing_and_ends_at_one(self, samples):
-        xs, ps = ecdf(samples)
-        assert np.all(np.diff(ps) >= 0)
-        assert ps[-1] == 1.0
-        assert np.all(np.diff(xs) > 0) or len(xs) == 1
 
 
 class TestRankProperties:
