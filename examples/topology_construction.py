@@ -44,13 +44,13 @@ def main():
           f"{annotated}/{len(merged)}")
 
     tc = TopologyConstructor(annotations)
-    stats = tc.coverage(records)
+    database = tc.build(records)
+    stats = tc.coverage(records, database)
     print(f"clients with complete traceroutes: {stats['complete_fraction']:.0%} "
           f"(paper: 52%)")
     print(f"...of which with a suitable topology: {stats['suitable_fraction']:.0%} "
           f"(paper: 74%)")
 
-    database = tc.build(records)
     print(f"topology database: {len(database)} suitable server pairs for "
           f"{len(database.destinations)} destinations")
 

@@ -218,8 +218,8 @@ def cmd_topology(args):
         records = collect_month(internet, rng)
     annotations = AnnotationDatabase(internet)
     tc = TopologyConstructor(annotations)
-    stats = tc.coverage(records)
     database = tc.build(records)
+    stats = tc.coverage(records, database)
     if args.ases:
         print(f"AS graph              : {len(internet.graph.asns)} ASes, "
               f"{internet.graph.n_edges} edges")

@@ -141,12 +141,15 @@ class TestPairSearch:
         assert hits > len(internet.clients) / 2
 
 
+def _coverage(internet, records):
+    tc = TopologyConstructor(AnnotationDatabase(internet))
+    return tc.coverage(records, tc.build(records))
+
+
 class TestCoverage:
     def test_coverage_statistics_shape(self, messy_internet):
         internet, rng = messy_internet
-        tc = TopologyConstructor(AnnotationDatabase(internet))
-        records = collect_month(internet, rng)
-        stats = tc.coverage(records)
+        stats = _coverage(internet, collect_month(internet, rng))
         assert 0.0 < stats["complete_fraction"] < 1.0
         assert 0.0 <= stats["suitable_fraction"] <= 1.0
         assert stats["clients"] == len(internet.clients)
@@ -154,10 +157,6 @@ class TestCoverage:
     def test_messier_internet_lowers_coverage(self, clean_internet, messy_internet):
         clean_net, clean_rng = clean_internet
         messy_net, messy_rng = messy_internet
-        clean_stats = TopologyConstructor(AnnotationDatabase(clean_net)).coverage(
-            collect_month(clean_net, clean_rng, tests_per_client=4)
-        )
-        messy_stats = TopologyConstructor(AnnotationDatabase(messy_net)).coverage(
-            collect_month(messy_net, messy_rng, tests_per_client=4)
-        )
+        clean_stats = _coverage(clean_net, collect_month(clean_net, clean_rng, tests_per_client=4))
+        messy_stats = _coverage(messy_net, collect_month(messy_net, messy_rng, tests_per_client=4))
         assert messy_stats["complete_fraction"] < clean_stats["complete_fraction"]
