@@ -17,6 +17,14 @@ Scheduling is split into two tiers so the hot path stays allocation-free:
   return it.  Only timer-like callers (TCP RTO/pacing timers, link
   wake-ups) use these.
 
+A source that knows all its event times up front but pushes them one at a
+time takes its tie-break numbers in one block first
+(:meth:`Simulator.reserve`).  Every ``(when, seq)`` key is then the key
+it would have had if the whole schedule had been pushed at once, and
+keys are unique, so events pop in the same order either way; only the
+heap is smaller.  ``repro.netsim.udp.UdpSender`` streams its datagrams
+this way.
+
 A timer that keeps moving later -- the TCP retransmission timer is
 re-armed by every advancing ACK -- postpones its handle instead of
 cancelling it and pushing a new entry: :meth:`EventHandle.postpone`
@@ -125,6 +133,19 @@ class Simulator:
         seq = self._counter
         self._counter = seq + 1
         _heappush(self._heap, (when, seq, None, callback, args))
+
+    def reserve(self, n):
+        """Take ``n`` consecutive tie-break numbers; return the first.
+
+        The caller pushes ``(when, first + i, None, callback, args)``
+        onto ``_heap`` itself, each entry no later than the pop of any
+        key above it: when a source pushes its next event from the
+        callback of the previous one, a time-sorted schedule keeps
+        that promise.
+        """
+        first = self._counter
+        self._counter = first + n
+        return first
 
     def schedule_cancellable(self, delay, callback, *args):
         """Like :meth:`schedule`, but returns a cancellable handle."""

@@ -2,7 +2,8 @@
 
 A link serializes packets at ``bandwidth_bps``, holds them in its
 queueing discipline while busy, and delivers them ``delay_s`` later to
-whatever the packet's path says comes next.  A link with a
+whatever the packet's path says comes next: the next link's ``send``,
+or the path's sink past the last link.  A link with a
 :class:`~repro.netsim.token_bucket.DualClassQdisc` *is* the paper's
 rate-limiting device.
 """
@@ -59,14 +60,14 @@ class Link:
     def send(self, packet):
         """Offer a packet to this link; it may be queued or dropped."""
         self.packets_offered += 1
-        if self.qdisc.enqueue(packet, self.sim._now):
+        # A busy link picks its next packet when the current one is
+        # done.  A drop is silent, as on a real device; the transport
+        # discovers it through missing ACKs or sequence gaps.
+        if self.qdisc.enqueue(packet, self.sim._now) and not self._busy:
             self._try_transmit()
-        # A drop is silent, as on a real device; the transport discovers
-        # it through missing ACKs or sequence gaps.
 
     def _try_transmit(self):
-        if self._busy:
-            return
+        """Start the next packet; the caller has checked the link is idle."""
         sim = self.sim
         packet, wake = self.qdisc.dequeue(sim._now)
         if packet is None:
@@ -94,18 +95,25 @@ class Link:
 
     def _on_wake(self):
         self._wake_handle = None
-        self._try_transmit()
+        if not self._busy:
+            self._try_transmit()
 
     def _transmit_done(self, packet):
         self._busy = False
         self.bytes_sent += packet.size
         self.packets_sent += 1
+        # Hand the packet on: after propagation it arrives at the next
+        # link on its path, or at the path's sink past the last one.
+        path = packet.path
+        links = path.links
+        hop = packet.hop + 1
+        packet.hop = hop
+        arrive = links[hop].send if hop < len(links) else path.sink.receive
         sim = self.sim
         seq = sim._counter
         sim._counter = seq + 1
         _heappush(
-            sim._heap,
-            (sim._now + self.delay_s, seq, None, packet.path.advance, (packet,)),
+            sim._heap, (sim._now + self.delay_s, seq, None, arrive, (packet,))
         )
         self._try_transmit()
 

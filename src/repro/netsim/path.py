@@ -2,8 +2,9 @@
 
 Routing in the experiments is static -- every flow knows its path up
 front (the paper's Figure-1 topologies are fixed for the duration of a
-test).  A packet carries its path and current hop; links call
-:meth:`Path.advance` after propagation to move it along.
+test).  A packet carries its path and current hop; when a link has
+sent it, the link schedules its arrival at ``links[hop + 1]`` or, past
+the last link, at ``sink`` (:meth:`repro.netsim.link.Link._transmit_done`).
 """
 
 
@@ -30,14 +31,6 @@ class Path:
         packet.path = self
         packet.hop = 0
         self.links[0].send(packet)
-
-    def advance(self, packet):
-        """Move a packet past the link it just crossed."""
-        packet.hop += 1
-        if packet.hop < len(self.links):
-            self.links[packet.hop].send(packet)
-        else:
-            self.sink.receive(packet)
 
     @property
     def propagation_delay(self):

@@ -455,14 +455,14 @@ class TcpSender:
             return
         top = max(blocks)
         rearm = max(self.rto, MIN_RTO)
-        hole = self.snd_una
-        while hole < top:
+        now = self.sim._now
+        retransmitted = self._retransmitted
+        for hole in range(self.snd_una, top, MSS):
             if hole not in blocks:
-                last = self._retransmitted.get(hole)
-                if last is None or self.sim._now - last >= rearm:
+                last = retransmitted.get(hole)
+                if last is None or now - last >= rearm:
                     self._queue_retransmit(hole, "sack")
                     return
-            hole += MSS
 
     def _ecn_backoff(self):
         """Congestion response to an ECN echo: halve, don't retransmit.

@@ -14,6 +14,8 @@ sender's sequence numbers, so gaps are losses, registered at the time
 the surrounding packets arrive.
 """
 
+from heapq import heappush as _heappush
+
 from repro.netsim.packet import DATA, HEADER_BYTES, Packet
 
 UDP_HEADER_BYTES = 28
@@ -59,7 +61,15 @@ class UdpReceiver:
 
 
 class UdpSender:
-    """Replays a ``(time, size)`` schedule of UDP datagrams."""
+    """Replays a ``(time, size)`` schedule of UDP datagrams.
+
+    The schedule is streamed into the event heap: the sender reserves
+    one tie-break number per datagram at construction and pushes each
+    datagram when the one before it fires, so the heap holds one entry
+    per sender and events pop in the order the whole schedule pushed up
+    front would give (see :mod:`repro.netsim.engine`).  That needs a
+    time-sorted schedule whose first datagram is not in the past.
+    """
 
     def __init__(self, sim, flow_id, path, schedule, dscp=0, start_at=0.0):
         self.sim = sim
@@ -70,21 +80,35 @@ class UdpSender:
         self.start_at = start_at
         self.packets_sent = 0
         self.send_times = []
-        for seq, (t, size) in enumerate(self.schedule):
-            sim.schedule_at(start_at + t, self._transmit, seq, size)
+        times = [t for t, _ in self.schedule]
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            raise ValueError("UDP schedule must be sorted by time")
+        if times and start_at + times[0] < sim._now:
+            raise ValueError(
+                f"cannot schedule at {start_at + times[0]}; "
+                f"current time is {sim._now}"
+            )
+        self._first_seq = sim.reserve(len(times))
+        if times:
+            self._push(0)
+
+    def _push(self, seq):
+        t, size = self.schedule[seq]
+        _heappush(
+            self.sim._heap,
+            (self.start_at + t, self._first_seq + seq, None, self._transmit,
+             (seq, size)),
+        )
 
     def _transmit(self, seq, size):
-        wire_size = size + UDP_HEADER_BYTES
+        if seq + 1 < len(self.schedule):
+            self._push(seq + 1)
+        now = self.sim._now
         packet = Packet(
-            self.flow_id,
-            DATA,
-            seq,
-            wire_size,
-            dscp=self.dscp,
-            sent_at=self.sim._now,
+            self.flow_id, DATA, seq, size + UDP_HEADER_BYTES, self.dscp, now
         )
         self.packets_sent += 1
-        self.send_times.append(self.sim._now)
+        self.send_times.append(now)
         self.path.inject(packet)
 
 

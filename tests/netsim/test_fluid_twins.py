@@ -15,6 +15,7 @@ import pytest
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import DATA, Packet
+from repro.netsim.path import Path
 from repro.netsim.qdisc import make_qdisc, registered_qdiscs, supports_fidelity
 
 LINK_BPS = 4e6
@@ -37,13 +38,13 @@ TWINS = [name for name in registered_qdiscs() if supports_fidelity(name, "hybrid
 
 
 class _Recorder:
-    """Path stand-in: the link hands every transmitted packet here."""
+    """Sink of a one-link path: the link hands every transmitted packet here."""
 
     def __init__(self, sim):
         self.sim = sim
         self.departures = []
 
-    def advance(self, packet):
+    def receive(self, packet):
         self.departures.append((packet.seq, self.sim._now))
 
 
@@ -66,11 +67,10 @@ def _run(name, fidelity, stream):
     qdisc = make_qdisc(name, fidelity=fidelity, **TWIN_PARAMS[name])
     link = Link(sim, "device", LINK_BPS, DELAY_S, qdisc)
     recorder = _Recorder(sim)
+    path = Path([link], recorder)
 
     def arrive(seq, flow, size, dscp):
-        packet = Packet(flow, DATA, seq, size, dscp=dscp)
-        packet.path = recorder
-        link.send(packet)
+        path.inject(Packet(flow, DATA, seq, size, dscp=dscp))
 
     for seq, (t, flow, size, dscp) in enumerate(stream):
         sim.schedule_at(t, arrive, seq, flow, size, dscp)

@@ -6,6 +6,7 @@ import pytest
 from repro.netsim.capture import FlowCapture, PathMeasurements, binned_loss_series
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
+from repro.netsim.packet import DATA, Packet
 from repro.netsim.path import Path
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.udp import UDP_HEADER_BYTES, UdpReceiver, UdpSender
@@ -54,6 +55,92 @@ class TestUdpReplay:
         UdpSender(sim, "u", Path([link], receiver), [(0.0, 1000)])
         sim.run()
         assert link.bytes_sent == 1000 + UDP_HEADER_BYTES
+
+    def test_unsorted_schedule_is_rejected(self):
+        sim = Simulator()
+        path = Path([Link(sim, "l", 8e6, 0.0)], UdpReceiver(sim, "u"))
+        with pytest.raises(ValueError, match="sorted"):
+            UdpSender(sim, "u", path, [(0.0, 100), (0.2, 100), (0.1, 100)])
+
+    @pytest.mark.parametrize("schedule, start_at", [([(1.0, 100)], 0.0), ([(0.0, 100)], 1.5)])
+    def test_first_datagram_in_the_past_is_rejected(self, schedule, start_at):
+        sim = Simulator()
+        sim.run(until=2.0)
+        path = Path([Link(sim, "l", 8e6, 0.0)], UdpReceiver(sim, "u"))
+        with pytest.raises(ValueError, match="current time is 2.0"):
+            UdpSender(sim, "u", path, schedule, start_at=start_at)
+
+    def test_streamed_sender_keeps_the_up_front_event_order(self):
+        """Datagram times tie with each other, with the other sender's and
+        with unrelated events scheduled before, between and during the
+        replays; streaming fires what the whole schedule pushed at
+        construction fires, in the same order and count."""
+        streamed = _tied_run(streamed=True)
+        up_front = _tied_run(streamed=False)
+        assert streamed == up_front
+        log, events = streamed
+        assert sum(1 for entry in log if entry[0] in "ab") == 2 * len(TIED_SCHEDULE)
+        assert events == len(log)
+
+    def test_pending_holds_one_entry_per_sender(self):
+        sim = Simulator()
+        schedule = [(i * 0.001, 100) for i in range(2000)]
+        for name in "ab":
+            path = Path([Link(sim, name, 1e9, 0.0)], UdpReceiver(sim, name))
+            UdpSender(sim, name, path, schedule)
+        seen = []
+        for t in (0.0005, 1.0005, 1.9985):
+            sim.schedule_at(t, lambda: seen.append(sim.pending()))
+        assert sim.pending() == 2 + 3
+        sim.run()
+        # Each probe sees both senders' next datagram and the probes left.
+        assert seen == [2 + 2, 2 + 1, 2 + 0]
+
+
+#: Ties within the schedule (0.0, 0.5, 1.0) and, shifted by 0.5, with the
+#: other sender's and the ticker's times.
+TIED_SCHEDULE = [
+    (0.0, 100), (0.0, 200), (0.25, 300), (0.5, 400),
+    (0.5, 500), (0.5, 600), (1.0, 700), (1.0, 800),
+]
+
+
+class _LogPath:
+    """Path stand-in that logs each datagram as its sender hands it over."""
+
+    def __init__(self, sim, name, log):
+        self.sim = sim
+        self.name = name
+        self.log = log
+
+    def inject(self, packet):
+        self.log.append(
+            (self.name, packet.seq, packet.size - UDP_HEADER_BYTES, self.sim.now)
+        )
+
+
+def _tied_run(streamed):
+    sim = Simulator()
+    log = []
+
+    def other(name, again):
+        log.append((name, sim.now))
+        if again:
+            sim.schedule_at(sim.now + 0.25, other, name, again - 1)
+
+    sim.schedule_at(0.5, other, "before", 0)
+    sim.schedule_at(0.0, other, "ticker", 6)
+    for name, start_at in (("a", 0.0), ("b", 0.5)):
+        path = _LogPath(sim, name, log)
+        if streamed:
+            UdpSender(sim, name, path, TIED_SCHEDULE, start_at=start_at)
+        else:
+            for seq, (t, size) in enumerate(TIED_SCHEDULE):
+                packet = Packet(name, DATA, seq, size + UDP_HEADER_BYTES)
+                sim.schedule_at(start_at + t, path.inject, packet)
+        sim.schedule_at(0.5, other, "after-" + name, 0)
+    sim.run()
+    return log, sim.events_processed
 
 
 class TestFlowCapture:
