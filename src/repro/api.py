@@ -116,12 +116,16 @@ class SweepRequest:
         objects in config order.  ``fault_profile`` injects per-cell
         failures seeded from each cell's own ``config.seed``.
         ``fidelity`` (``"packet"``/``"hybrid"``), when given, overrides
-        every config's own fidelity field.  Every other scenario knob
+        every config's own fidelity field (a config that already has it
+        is kept as it is, not copied).  Every other scenario knob
         lives on the configs themselves.
         """
         configs = list(configs)
         if fidelity is not None:
-            configs = [config.with_(fidelity=fidelity) for config in configs]
+            configs = [
+                config if config.fidelity == fidelity else config.with_(fidelity=fidelity)
+                for config in configs
+            ]
         return cls(
             kind="detection",
             params={

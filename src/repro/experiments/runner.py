@@ -28,11 +28,7 @@ from repro.core.localizer import SimultaneousReplayResult, serial_replays
 from repro.core.loss_correlation import LossTrendCorrelation
 from repro.experiments.scenarios import ScenarioConfig
 from repro.faults import FaultInjector, FaultSite, ReplayAbortedError, maybe_fire
-from repro.netsim.background import (
-    CountingSink,
-    ModulatedPoissonBackground,
-    TcpBackgroundPool,
-)
+from repro.netsim.background import ModulatedPoissonBackground, TcpBackgroundPool
 from repro.netsim.engine import _STATS, Simulator
 from repro.netsim.fluid import (
     FluidPoissonBackground,
@@ -59,9 +55,7 @@ def _poisson_background(sim, rng, links, rate_bps, fidelity, **kwargs):
     ``hybrid`` fidelity, one packet at a time otherwise."""
     if fidelity == "hybrid":
         return FluidPoissonBackground(sim, rng, links, rate_bps, **kwargs)
-    return ModulatedPoissonBackground(
-        sim, rng, Path(links, CountingSink()), rate_bps, **kwargs
-    )
+    return ModulatedPoissonBackground(sim, rng, Path(links, None), rate_bps, **kwargs)
 
 
 class _Environment:

@@ -33,18 +33,6 @@ from repro.netsim.tcp import TcpReceiver, TcpSender
 PACKET_SIZE_MIX = ((1500, 0.55), (576, 0.25), (72, 0.20))
 
 
-class CountingSink:
-    """Terminal sink for background traffic; counts what it swallows."""
-
-    def __init__(self):
-        self.packets = 0
-        self.bytes = 0
-
-    def receive(self, packet):
-        self.packets += 1
-        self.bytes += packet.size
-
-
 #: Default multi-timescale modulation: (update period s, stationary sigma,
 #: AR(1) rho per period).  Superposing components at sub-second, seconds
 #: and tens-of-seconds scales approximates the long-range-dependent rate

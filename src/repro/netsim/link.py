@@ -3,7 +3,8 @@
 A link serializes packets at ``bandwidth_bps``, holds them in its
 queueing discipline while busy, and delivers them ``delay_s`` later to
 whatever the packet's path says comes next: the next link's ``send``,
-or the path's sink past the last link.  A link with a
+or the path's sink past the last link (a path with no sink drops the
+packet there, without an event).  A link with a
 :class:`~repro.netsim.token_bucket.DualClassQdisc` *is* the paper's
 rate-limiting device.
 """
@@ -103,12 +104,19 @@ class Link:
         self.bytes_sent += packet.size
         self.packets_sent += 1
         # Hand the packet on: after propagation it arrives at the next
-        # link on its path, or at the path's sink past the last one.
+        # link on its path, or at the path's sink past the last one.  A
+        # path without a sink ends here: nothing would read the arrival.
         path = packet.path
         links = path.links
         hop = packet.hop + 1
         packet.hop = hop
-        arrive = links[hop].send if hop < len(links) else path.sink.receive
+        if hop < len(links):
+            arrive = links[hop].send
+        elif path.sink is not None:
+            arrive = path.sink.receive
+        else:
+            self._try_transmit()
+            return
         sim = self.sim
         seq = sim._counter
         sim._counter = seq + 1

@@ -4,7 +4,8 @@ Routing in the experiments is static -- every flow knows its path up
 front (the paper's Figure-1 topologies are fixed for the duration of a
 test).  A packet carries its path and current hop; when a link has
 sent it, the link schedules its arrival at ``links[hop + 1]`` or, past
-the last link, at ``sink`` (:meth:`repro.netsim.link.Link._transmit_done`).
+the last link, at ``sink`` if the path has one
+(:meth:`repro.netsim.link.Link._transmit_done`).
 """
 
 
@@ -12,7 +13,9 @@ class Path:
     """An ordered list of :class:`~repro.netsim.link.Link` plus a sink.
 
     ``sink`` is any object with a ``receive(packet)`` method (a TCP or
-    UDP receiver, or a measurement tap).
+    UDP receiver, or a measurement tap), or None for traffic nobody
+    receives (packet background): its packets leave the simulation
+    when the last link has sent them.
     """
 
     __slots__ = ("links", "sink")

@@ -46,6 +46,8 @@ from repro.service.fairqueue import DeficitRoundRobin
 from repro.service.protocol import Response, Status
 from repro.store.keys import detection_cache_key
 
+_INF = float("inf")
+
 #: obs gauge values for the service state machine.
 STATE_GAUGE = {
     ServiceState.HEALTHY: 0.0,
@@ -170,6 +172,8 @@ class ServiceCore:
         self.inflight = {}  # batch id -> Batch
         self.draining = False
         self._memo = OrderedDict()  # cache_key -> verdict payload
+        # No queued deadline is earlier than this; see expire().
+        self._earliest_deadline = _INF
         self._seq = 0
         self._batch_seq = 0
 
@@ -252,17 +256,22 @@ class ServiceCore:
         ok, reason = self.admission.admit(tenant, len(self.queue), now)
         if not ok:
             return reject(reason)
-        request = QueuedRequest(
+        self._push(QueuedRequest(
             id=request_id,
             submission=submission,
             scenario=scenario,
             cache_key=key,
             admitted_at=now,
             deadline_at=now + submission.deadline_s,
-        )
-        self.queue.push(tenant, request, cost=submission.duration)
+        ))
         self._log(request_id, tenant, "accept", "")
         return request_id
+
+    def _push(self, request):
+        """Queue ``request`` under its tenant; keeps the deadline bound."""
+        self.queue.push(request.tenant, request, cost=request.submission.duration)
+        if request.deadline_at < self._earliest_deadline:
+            self._earliest_deadline = request.deadline_at
 
     def malformed(self, request_id, reason, tenant=""):
         """Terminal ``FAILED`` for a submission that never parsed.
@@ -287,10 +296,27 @@ class ServiceCore:
 
         Each becomes a ``DEADLINE_EXCEEDED`` response without ever
         touching a worker -- the cheap half of deadline propagation.
+
+        No queued deadline precedes ``_earliest_deadline`` (every push
+        lowers it; a dispatched request only leaves it low), so until
+        ``now`` reaches it there is nothing to walk.  A walk resets it
+        to the earliest deadline left in the queue.
         """
-        removed = self.queue.remove_if(
-            lambda tenant, request: request.deadline_at <= now
-        )
+        if now < self._earliest_deadline:
+            return 0
+        earliest = _INF
+
+        def due(_tenant, request):
+            nonlocal earliest
+            deadline = request.deadline_at
+            if deadline <= now:
+                return True
+            if deadline < earliest:
+                earliest = deadline
+            return False
+
+        removed = self.queue.remove_if(due)
+        self._earliest_deadline = earliest
         for _tenant, request in removed:
             self._log(request.id, request.tenant, "expire", "queued")
             self._respond(Response(
@@ -450,15 +476,14 @@ class ServiceCore:
                 ))
                 continue
             scenario = submission.to_scenario()
-            request = QueuedRequest(
+            self._push(QueuedRequest(
                 id=request_id,
                 submission=submission,
                 scenario=scenario,
                 cache_key=detection_cache_key(scenario),
                 admitted_at=now,
                 deadline_at=now + remaining,
-            )
-            self.queue.push(submission.tenant, request, cost=submission.duration)
+            ))
             self._log(request_id, submission.tenant, "resume", "")
             resumed += 1
         return resumed

@@ -35,7 +35,6 @@ generator and the service test suite.
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.experiments.scenarios import ScenarioConfig
 from repro.wehe.apps import APP_SPECS
@@ -75,6 +74,11 @@ ALLOWED_KNOBS = frozenset(
     }
 )
 
+#: Top-level fields a submission may carry.
+SUBMISSION_FIELDS = frozenset(
+    {"tenant", "client", "app", "carrier", "deadline_s", "id", "knobs"}
+)
+
 #: Hard ceiling on a submission's replay duration (seconds of simulated
 #: time).  Deadlines bound *wall* time; this bounds per-cell *work*.
 MAX_DURATION_S = 120.0
@@ -106,13 +110,14 @@ class Submission:
         Built once: the config :func:`parse_submission` validates is the
         one the service keys, queues and resumes.
         """
-        return self._scenario
-
-    @cached_property
-    def _scenario(self):
         # Cached in the instance __dict__, outside the dataclass fields:
-        # equality, repr and as_dict() never see it.
-        return ScenarioConfig(app=self.app, **self.knobs)
+        # equality, repr and as_dict() never see it.  (Python 3.11's
+        # cached_property takes a class-wide lock on every first read.)
+        cache = self.__dict__
+        scenario = cache.get("_scenario")
+        if scenario is None:
+            scenario = cache["_scenario"] = ScenarioConfig(app=self.app, **self.knobs)
+        return scenario
 
     @property
     def duration(self):
@@ -140,9 +145,7 @@ def parse_submission(raw):
     """
     if not isinstance(raw, dict):
         raise MalformedSubmission("submission must be a JSON object")
-    unknown = set(raw) - {
-        "tenant", "client", "app", "carrier", "deadline_s", "id", "knobs"
-    }
+    unknown = raw.keys() - SUBMISSION_FIELDS
     if unknown:
         raise MalformedSubmission(f"unknown fields: {sorted(unknown)}")
     tenant = raw.get("tenant", "default")
@@ -169,7 +172,7 @@ def parse_submission(raw):
     knobs = raw.get("knobs", {})
     if not isinstance(knobs, dict):
         raise MalformedSubmission("knobs must be an object")
-    bad = set(knobs) - ALLOWED_KNOBS
+    bad = knobs.keys() - ALLOWED_KNOBS
     if bad:
         raise MalformedSubmission(f"unknown knobs: {sorted(bad)}")
     knobs = dict(knobs)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.faults import FaultProfile
 from repro.store.serialize import (
+    _PLAIN_SCALARS,
     STORE_SCHEMA_VERSION,
     canonical_json,
     config_to_dict,
@@ -107,20 +108,51 @@ def detection_cache_key(
     ``detectors`` is the detector *name* iterable (sorted into the
     key); detector identity is by name only -- a renamed or reconfigured
     detector must get a new name to invalidate its cached verdicts.
+
+    The key is the SHA-256 of the canonical JSON of ``{"config": ...,
+    "detectors": ..., ..., "schema_version": ...}``.  ``"config"`` sorts
+    first, so that JSON is the config's encoding followed by a tail that
+    depends on the coerced runner knobs alone.  Only the config is
+    encoded per call; the tail is memoized on the knob values *and their
+    types*: ``1``, ``1.0`` and ``True`` compare and hash alike but encode
+    as ``1``, ``1.0`` and ``true``, so an entry keyed on values alone
+    would hand one the other's tail.  A knob of any other type than an
+    exact JSON scalar (a ``str`` subclass, a list) skips the memo.
     """
-    return _digest(
+    head = '{"config": ' + plain_json(config_to_dict(config))
+    knobs = (
+        fault_profile_id(fault_profile),
+        plain(fingerprint or code_fingerprint()),
+        plain(schema_version),
+        bool(modified),
+        int(entropy),
+        bool(merge_flows),
+        *plain(sorted(detectors)),
+    )
+    encode = _memo_tail if _PLAIN_SCALARS.issuperset(map(type, knobs)) else _encode_tail
+    return hashlib.sha256((head + encode(*knobs)).encode()).hexdigest()
+
+
+def _encode_tail(fault_id, fingerprint, schema_version, modified, entropy, merge_flows,
+                 *detectors):
+    """The canonical detection payload's JSON after its ``config`` value."""
+    rest = plain_json(
         {
             "kind": "detection",
-            "config": config_to_dict(config),
-            "detectors": plain(sorted(detectors)),
-            "modified": bool(modified),
-            "entropy": int(entropy),
-            "merge_flows": bool(merge_flows),
-            "fault_profile": fault_profile_id(fault_profile),
-            "fingerprint": plain(fingerprint or code_fingerprint()),
-            "schema_version": plain(schema_version),
+            "detectors": list(detectors),
+            "modified": modified,
+            "entropy": entropy,
+            "merge_flows": merge_flows,
+            "fault_profile": fault_id,
+            "fingerprint": fingerprint,
+            "schema_version": schema_version,
         }
     )
+    # '{"detectors": ...}' continues '{"config": {...}' as ', "detectors": ...}'.
+    return ", " + rest[1:]
+
+
+_memo_tail = lru_cache(maxsize=64, typed=True)(_encode_tail)
 
 
 def wild_cache_key(

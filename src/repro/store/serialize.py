@@ -14,6 +14,7 @@ record compare byte-identical to a freshly computed one.
 import dataclasses
 import json
 from functools import lru_cache
+from json import encoder as _json_encoder
 
 from repro.experiments.runner import DetectionExperimentRecord
 from repro.experiments.scenarios import ScenarioConfig
@@ -32,6 +33,28 @@ _PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
 #: One shared encoder: ``json.dumps(obj, sort_keys=True)`` would build
 #: an identical one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _make_encode():
+    """``_ENCODER.encode`` without its per-call set-up.
+
+    ``JSONEncoder.encode`` builds a new C encoder, with a fresh table
+    for catching circular references, on every call.  Plain data is a
+    tree, never circular, so one C encoder built without that table
+    serves every call and gives the same bytes.
+    """
+    make = _json_encoder.c_make_encoder
+    if make is None:  # no C accelerator: keep the pure-Python path
+        return _ENCODER.encode
+    chunks = make(
+        None, _ENCODER.default, _json_encoder.encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+    return lambda data: "".join(chunks(data, 0))
+
+
+_encode = _make_encode()
 
 
 def plain(obj):
@@ -72,7 +95,7 @@ def _plain_other(obj):
 
 def canonical_json(obj):
     """The one true JSON encoding: plain types, sorted keys."""
-    return _ENCODER.encode(plain(obj))
+    return _encode(plain(obj))
 
 
 def plain_json(data):
@@ -81,7 +104,7 @@ def plain_json(data):
     For callers that built ``data`` from :func:`plain` results, so the
     second :func:`plain` pass would copy it for nothing.
     """
-    return _ENCODER.encode(data)
+    return _encode(data)
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +119,15 @@ def fields_to_dict(obj, skip=()):
     ``asdict``'s deep copies.  A field holding a nested dataclass makes
     :func:`plain` raise ``TypeError``; leave it out via ``skip`` and
     encode it separately, as :func:`record_to_dict` does ``config``.
+    Exact JSON scalars, most fields of a config, are kept without a
+    :func:`plain` call.
     """
-    return {
-        name: plain(getattr(obj, name))
-        for name in _field_names(type(obj))
-        if name not in skip
-    }
+    data = {}
+    for name in _field_names(type(obj)):
+        if name not in skip:
+            value = getattr(obj, name)
+            data[name] = value if type(value) in _PLAIN_SCALARS else plain(value)
+    return data
 
 
 def config_to_dict(config):

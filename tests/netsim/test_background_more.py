@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
+from test_topology_background import CountingSink
 
-from repro.netsim.background import (
-    CountingSink,
-    ModulatedPoissonBackground,
-    TcpBackgroundPool,
-)
+from repro.netsim.background import ModulatedPoissonBackground, TcpBackgroundPool
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.path import Path

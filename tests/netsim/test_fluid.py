@@ -198,7 +198,8 @@ def test_fluid_byte_totals_match_packet_mode(seed):
 
     sim_p = Simulator()
     link = Link(sim_p, "wide", 1e9, 0.001)
-    from repro.netsim.background import CountingSink
+    from test_topology_background import CountingSink
+
     from repro.netsim.path import Path
 
     sink = CountingSink()

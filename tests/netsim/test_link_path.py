@@ -100,6 +100,30 @@ class TestPath:
         path = Path([l1, l2], Sink(sim))
         assert path.propagation_delay == pytest.approx(0.010)
 
+    def test_sinkless_path_ends_at_its_last_link(self):
+        def run(background_sink):
+            sim = Simulator()
+            l1 = Link(sim, "l1", 8e6, 0.005)
+            l2 = Link(sim, "l2", 8e6, 0.005)
+            background = Path([l1, l2], background_sink)
+            for i in range(3):
+                background.inject(make_packet(flow="bg", seq=i))
+            sink = Sink(sim)
+            Path([l2], sink).inject(make_packet(flow="m"))
+            sim.run()
+            assert l2.packets_sent == 4
+            (arrival,) = sink.arrivals
+            return sim.events_processed, arrival[0]
+
+        received = Sink()
+        events, arrival = run(None)
+        events_with_sink, arrival_with_sink = run(received)
+        # The same traffic on the shared link, minus one arrival event
+        # per background packet.
+        assert len(received.arrivals) == 3
+        assert events == events_with_sink - 3
+        assert arrival == arrival_with_sink
+
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             Path([], Sink())

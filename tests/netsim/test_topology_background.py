@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.netsim.background import (
-    CountingSink,
     ModulatedPoissonBackground,
     SteadyAppSource,
     TcpBackgroundPool,
@@ -14,6 +13,18 @@ from repro.netsim.path import Path
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.token_bucket import DualClassQdisc
 from repro.netsim.topology import FigureOneTopology, TopologyConfig
+
+
+class CountingSink:
+    """Path sink that counts what it receives (shared with other tests)."""
+
+    def __init__(self):
+        self.packets = 0
+        self.bytes = 0
+
+    def receive(self, packet):
+        self.packets += 1
+        self.bytes += packet.size
 
 
 class TestTopologyConfig:

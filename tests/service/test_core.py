@@ -168,6 +168,38 @@ class TestDeadlines:
         batch = core.next_batch(now=4.0)
         assert batch.cell_timeout == pytest.approx(26.0)
 
+    def test_deadline_equal_to_now_expires_on_that_call(self):
+        core = ServiceCore(config())
+        rid = core.submit(submission(deadline_s=5), now=0.0)
+        assert core.expire(now=4.5) == 0
+        assert core.expire(now=5.0) == 1
+        (resp,) = core.take_responses()
+        assert resp.id == rid and resp.status == Status.DEADLINE_EXCEEDED
+
+    def test_earlier_deadline_pushed_after_a_sweep_expires_on_time(self):
+        core = ServiceCore(config())
+        late = core.submit(submission(deadline_s=50, knobs={"seed": 0}), now=0.0)
+        assert core.expire(now=10.0) == 0  # the walk leaves the bound at 50
+        early = core.submit(submission(deadline_s=5, knobs={"seed": 1}), now=10.0)
+        assert core.expire(now=14.0) == 0
+        assert core.expire(now=15.0) == 1
+        assert [r.id for r in core.take_responses()] == [early]
+        assert core.expire(now=49.0) == 0
+        assert core.expire(now=50.0) == 1
+        assert [r.id for r in core.take_responses()] == [late]
+        assert len(core.queue) == 0
+
+    def test_resumed_request_lowers_the_bound(self):
+        core = ServiceCore(config())
+        core.submit(submission(deadline_s=100, knobs={"seed": 0}), now=0.0)
+        assert core.expire(now=1.0) == 0
+        payload = {"id": "req-r", "submission": submission().as_dict(), "remaining_s": 2.0}
+        assert core.resume([payload], now=1.0) == 1
+        assert core.expire(now=3.0) == 1
+        (resp,) = core.take_responses()
+        assert resp.id == "req-r" and resp.status == Status.DEADLINE_EXCEEDED
+        assert len(core.queue) == 1
+
 
 class TestBreaker:
     def test_engine_failures_trip_and_block_dispatch(self):
@@ -215,6 +247,21 @@ class TestDrainResume:
         fresh.batch_done(batch, ok_outcomes(batch), now=101.0)
         (resp,) = fresh.take_responses()
         assert resp.id == rid and resp.status == Status.VERDICT
+
+    def test_drain_then_resume_into_the_same_core(self):
+        core = ServiceCore(config())
+        first = core.submit(submission(deadline_s=10, knobs={"seed": 0}), now=0.0)
+        second = core.submit(submission(deadline_s=30, knobs={"seed": 1}), now=0.0)
+        core.begin_drain(now=5.0)
+        payloads = core.pending_payloads(now=5.0)
+        assert len(core.queue) == 0 and core.expire(now=6.0) == 0
+        assert core.resume(payloads, now=100.0) == 2
+        assert core.expire(now=104.0) == 0
+        assert core.expire(now=105.0) == 1
+        assert [r.id for r in core.take_responses()] == [first]
+        batch = core.next_batch(now=106.0)
+        assert [r.id for r in batch.requests] == [second]
+        assert batch.requests[0].deadline_at == pytest.approx(125.0)
 
     def test_scenario_built_once_per_submission(self, monkeypatch):
         built = []

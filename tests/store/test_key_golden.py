@@ -6,11 +6,13 @@ turns every warm store cold (keys) or breaks byte-equality with stored
 records (lines), so a change to ``repro.store.serialize`` or
 ``repro.store.keys`` must leave all of them unchanged.  The hypothesis
 properties compare the current encoder against a reference copy of the
-old one over inputs the pinned list cannot enumerate.
+old one over inputs the pinned list cannot enumerate, and the detection
+key against the digest of its full payload.
 """
 
 import dataclasses
 import enum
+import hashlib
 import json
 
 import numpy as np
@@ -20,13 +22,19 @@ from test_keys import BASE, FIELD_CHANGES, MULTIPATH_DEPENDENT
 
 from repro.experiments.runner import DetectionExperimentRecord
 from repro.experiments.scenarios import ScenarioConfig
+from repro.faults import FaultProfile
+from repro.faults.profile import ALL_SITES
 from repro.store import (
+    STORE_SCHEMA_VERSION,
     canonical_json,
+    code_fingerprint,
     config_to_dict,
     detection_cache_key,
+    fault_profile_id,
     record_line,
     wild_cache_key,
 )
+from repro.store.serialize import plain
 
 
 def field_config(field, value):
@@ -370,3 +378,117 @@ class TestMatchesAsdictReference:
     @given(records())
     def test_record_line(self, record):
         assert record_line(record) == old_record_line(record)
+
+
+# -- the detection key is the digest of its whole payload ----------------------
+
+
+def reference_detection_key(
+    config,
+    detectors=("loss_trend",),
+    modified=True,
+    entropy=0,
+    merge_flows=False,
+    fault_profile=None,
+    fingerprint=None,
+    schema_version=STORE_SCHEMA_VERSION,
+):
+    """The key as the SHA-256 of the full canonical payload, built per call."""
+    payload = {
+        "kind": "detection",
+        "config": config_to_dict(config),
+        "detectors": plain(sorted(detectors)),
+        "modified": bool(modified),
+        "entropy": int(entropy),
+        "merge_flows": bool(merge_flows),
+        "fault_profile": fault_profile_id(fault_profile),
+        "fingerprint": plain(fingerprint or code_fingerprint()),
+        "schema_version": plain(schema_version),
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+#: Values equal to 1 (and hashing alike) whose JSON differs: 1, 1.0, true.
+ONE_LOOK_ALIKES = (1, 1.0, True, np.int64(1), np.float64(1.0), np.bool_(True))
+
+
+def _spec(rules):
+    parts = []
+    for site, probability, max_fires in rules:
+        fires = "" if max_fires is None else f":{max_fires}"
+        parts.append(f"{site}={probability!r}{fires}")
+    return ",".join(parts)
+
+
+fault_profiles = st.one_of(
+    st.none(),
+    st.sampled_from(["", "none", "flaky", "chaos", FaultProfile.flaky(), FaultProfile.chaos(0.25)]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(ALL_SITES),
+            st.floats(0.0, 1.0),
+            st.none() | st.integers(0, 5),
+        ),
+        unique_by=lambda rule: rule[0],
+        min_size=1,
+        max_size=3,
+    ).map(_spec),
+)
+detector_names = st.one_of(
+    st.sampled_from(["loss_trend", "dtw", "other"]),
+    st.text(max_size=5),
+    st.text(max_size=5).map(Tag),
+)
+knob_kwargs = st.fixed_dictionaries(
+    {},
+    optional={
+        "detectors": st.lists(detector_names, max_size=3) | st.lists(detector_names).map(tuple),
+        "modified": st.booleans() | st.booleans().map(np.bool_) | st.integers(0, 2),
+        "entropy": (
+            st.integers(-5, 2**40)
+            | st.integers(0, 99).map(np.int64)
+            | st.booleans()
+            | st.sampled_from(ONE_LOOK_ALIKES)
+        ),
+        "merge_flows": st.booleans() | st.booleans().map(np.bool_),
+        "fault_profile": fault_profiles,
+        "fingerprint": (
+            st.none() | st.text(max_size=8) | st.text(min_size=1, max_size=8).map(Tag)
+        ),
+        "schema_version": (
+            st.sampled_from(ONE_LOOK_ALIKES)
+            | st.integers(0, 5)
+            | st.integers(0, 5).map(float)
+            | st.booleans()
+            | st.text(max_size=3)
+        ),
+    },
+)
+
+
+class TestDetectionKeyMatchesPayloadDigest:
+    @PROPERTY
+    @given(configs(), knob_kwargs)
+    def test_key_is_digest_of_reference_payload(self, config, kwargs):
+        assert detection_cache_key(config, **kwargs) == reference_detection_key(config, **kwargs)
+
+    def test_look_alike_knobs_keep_their_own_keys(self):
+        # Interleaved so each value follows the others: a tail memo keyed
+        # on values alone would serve 1.0 the tail of 1, and so on.
+        for _ in range(2):
+            for knob in ("schema_version", "entropy"):
+                for value in ONE_LOOK_ALIKES:
+                    kwargs = {knob: value}
+                    assert detection_cache_key(BASE, **kwargs) == reference_detection_key(
+                        BASE, **kwargs
+                    )
+        keys = {detection_cache_key(BASE, schema_version=v) for v in (1, 1.0, True)}
+        assert len(keys) == 3
+
+    def test_named_and_spec_profiles_and_explicit_fingerprints(self):
+        for fault_profile in (None, "flaky", FaultProfile.flaky(), "replay_abort=0.5:2"):
+            for fingerprint in (None, "golden", Tag("golden")):
+                kwargs = {"fault_profile": fault_profile, "fingerprint": fingerprint}
+                assert detection_cache_key(BASE, **kwargs) == reference_detection_key(
+                    BASE, **kwargs
+                )
