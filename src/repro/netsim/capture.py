@@ -23,6 +23,7 @@ class FlowCapture:
         self.mark_times = []  # arrivals carrying an ECN congestion mark
 
     def on_arrival(self, now, nbytes, marked=False):
+        # TcpReceiver.receive appends to these lists itself.
         self.times.append(now)
         self.bytes.append(nbytes)
         if marked:

@@ -100,9 +100,9 @@ class Link:
             self._try_transmit()
 
     def _transmit_done(self, packet):
-        self._busy = False
         self.bytes_sent += packet.size
         self.packets_sent += 1
+        sim = self.sim
         # Hand the packet on: after propagation it arrives at the next
         # link on its path, or at the path's sink past the last one.  A
         # path without a sink ends here: nothing would read the arrival.
@@ -115,15 +115,28 @@ class Link:
         elif path.sink is not None:
             arrive = path.sink.receive
         else:
-            self._try_transmit()
+            arrive = None
+        if arrive is not None:
+            seq = sim._counter
+            sim._counter = seq + 1
+            _heappush(
+                sim._heap, (sim._now + self.delay_s, seq, None, arrive, (packet,))
+            )
+        # _try_transmit (keep the two in step): the link stays busy if
+        # the qdisc hands over the next packet.
+        packet, wake = self.qdisc.dequeue(sim._now)
+        if packet is None:
+            self._busy = False
+            if wake is not None:
+                self._schedule_wake(wake)
             return
-        sim = self.sim
         seq = sim._counter
         sim._counter = seq + 1
         _heappush(
-            sim._heap, (sim._now + self.delay_s, seq, None, arrive, (packet,))
+            sim._heap,
+            (sim._now + packet.size * 8.0 / self.bandwidth_bps, seq, None,
+             self._transmit_done, (packet,)),
         )
-        self._try_transmit()
 
     def utilization(self, elapsed):
         """Fraction of ``elapsed`` seconds spent transmitting."""

@@ -8,6 +8,8 @@ the last link, at ``sink`` if the path has one
 (:meth:`repro.netsim.link.Link._transmit_done`).
 """
 
+from heapq import heappush as _heappush
+
 
 class Path:
     """An ordered list of :class:`~repro.netsim.link.Link` plus a sink.
@@ -53,6 +55,8 @@ class DirectPath:
     __slots__ = ("sim", "delay_s", "sink", "jitter")
 
     def __init__(self, sim, delay_s, sink, jitter=None):
+        if delay_s < 0:
+            raise ValueError("path delay must be non-negative")
         self.sim = sim
         self.delay_s = delay_s
         self.sink = sink
@@ -60,6 +64,14 @@ class DirectPath:
 
     def inject(self, packet):
         delay = self.delay_s
-        if self.jitter is not None:
-            delay += max(0.0, self.jitter())
-        self.sim.schedule(delay, self.sink.receive, packet)
+        jitter = self.jitter
+        if jitter is not None:
+            extra = jitter()
+            if extra > 0.0:  # max(0.0, extra), without the call
+                delay += extra
+        # Inlined Simulator.schedule (same ``when`` arithmetic): one
+        # push per ACK.
+        sim = self.sim
+        seq = sim._counter
+        sim._counter = seq + 1
+        _heappush(sim._heap, (sim._now + delay, seq, None, self.sink.receive, (packet,)))

@@ -18,6 +18,8 @@ The receiver ACKs every segment cumulatively (no delayed ACKs), which
 generates duplicate ACKs on gaps just like a real stack.
 """
 
+from itertools import filterfalse
+
 from repro.netsim.packet import ACK, ACK_BYTES, DATA, HEADER_BYTES, Packet
 from repro.obs import metrics as _obs
 
@@ -51,34 +53,47 @@ class TcpReceiver:
         if packet.kind != DATA:
             return
         self.packets_received += 1
-        self.bytes_received += packet.size - HEADER_BYTES
-        if packet.seq == self.rcv_nxt:
-            self.rcv_nxt += MSS
-            while self.rcv_nxt in self._out_of_order:
-                self._out_of_order.discard(self.rcv_nxt)
-                self.rcv_nxt += MSS
-        elif packet.seq > self.rcv_nxt:
-            self._out_of_order.add(packet.seq)
-        if self.capture is not None:
-            self.capture.on_arrival(
-                self.sim._now, packet.size - HEADER_BYTES, marked=packet.ecn != 0
+        payload = packet.size - HEADER_BYTES
+        self.bytes_received += payload
+        seq = packet.seq
+        rcv_nxt = self.rcv_nxt
+        out_of_order = self._out_of_order
+        if seq == rcv_nxt:
+            rcv_nxt += MSS
+            while rcv_nxt in out_of_order:
+                out_of_order.discard(rcv_nxt)
+                rcv_nxt += MSS
+            self.rcv_nxt = rcv_nxt
+        elif seq > rcv_nxt:
+            out_of_order.add(seq)
+        ecn = packet.ecn
+        capture = self.capture
+        if capture is not None:
+            # FlowCapture.on_arrival (keep the two in step), one call
+            # less per segment.
+            now = self.sim._now
+            capture.times.append(now)
+            capture.bytes.append(payload)
+            if ecn:
+                capture.mark_times.append(now)
+        # The ACK carries (a reference to) the receiver's out-of-order
+        # block set -- the simulation equivalent of SACK blocks; senders
+        # must treat it as read-only -- and echoes the congestion mark
+        # (simplified ECE, no latched state).  Positional arguments:
+        # dscp 0, sent_at, is_retx, sack, ecn.
+        self.reverse_path.inject(
+            Packet(
+                self.flow_id,
+                ACK,
+                rcv_nxt,
+                ACK_BYTES,
+                0,
+                packet.sent_at,
+                packet.is_retx,
+                out_of_order if out_of_order else None,
+                ecn,
             )
-        ack = Packet(
-            self.flow_id,
-            ACK,
-            self.rcv_nxt,
-            ACK_BYTES,
-            sent_at=packet.sent_at,
-            is_retx=packet.is_retx,
-            # The ACK carries (a reference to) the receiver's
-            # out-of-order block set -- the simulation equivalent of
-            # SACK blocks.  Senders must treat it as read-only.
-            sack=self._out_of_order if self._out_of_order else None,
-            # ECN echo: the congestion-experienced mark rides back to
-            # the sender (simplified ECE -- no latched state).
-            ecn=packet.ecn,
         )
-        self.reverse_path.inject(ack)
 
 
 class TcpSender:
@@ -197,15 +212,6 @@ class TcpSender:
     def _inflight_packets(self):
         return (self.snd_nxt - self.snd_una) / MSS
 
-    def _has_data(self):
-        if self.total_bytes is not None and self.snd_nxt >= self.total_bytes:
-            return False
-        if self.app_source is not None:
-            if self.snd_nxt + MSS > self.app_source.available_bytes(self.sim._now):
-                self._wait_for_app()
-                return False
-        return True
-
     def _wait_for_app(self):
         """Re-enter the send loop when the application writes more data."""
         if self._app_wait_handle is not None and not self._app_wait_handle.cancelled:
@@ -223,13 +229,9 @@ class TcpSender:
 
     def _pacing_interval(self):
         rtt = self.srtt if self.srtt is not None else 0.05
-        rate = max(self.cwnd, 1.0) / max(rtt, 1e-4)  # packets/s
+        # max(cwnd, 1.0) / max(rtt, 1e-4) packets/s, without two calls.
+        rate = (self.cwnd if self.cwnd >= 1.0 else 1.0) / (rtt if rtt >= 1e-4 else 1e-4)
         return 1.0 / rate
-
-    def _can_send(self):
-        return self._retx_queue or (
-            self._has_data() and self._inflight_packets() < self.cwnd
-        )
 
     def _send_loop(self):
         """Send as permitted; with pacing, one packet per timer tick.
@@ -239,42 +241,82 @@ class TcpSender:
         transmissions, they only (re)arm the pacing timer.  This is the
         Section-3.4 modification that lets replay packets "jump over"
         correlation-inducing loss bursts.
+
+        One frame per tick: the may-send test, the choice of segment
+        and its transmission are inlined here, in the order the
+        separate steps took them.  ``_pacing_interval`` stays a call,
+        since subclasses model their own rate with it.
         """
         if self._stopped:
             return
         self._pace_handle = None
-        if not self.pacing:
-            while self._can_send():
-                self._send_one()
-            return
-        if not self._can_send():
-            return
-        gap = self._pacing_interval()
-        due = self._last_send_time + gap
-        if due > self.sim._now:
-            self._pace_handle = self.sim.schedule_at_cancellable(due, self._send_loop)
-            return
-        self._send_one()
-        if self._can_send():
-            self._pace_handle = self.sim.schedule_cancellable(gap, self._send_loop)
-
-    def _send_one(self):
-        if self._retx_queue:
-            seq, reason = self._retx_queue.pop(0)
-            self._transmit(seq, reason=reason)
-        else:
-            # After an RTO go-back, snd_nxt re-walks old territory;
-            # skip segments the receiver already holds (SACK blocks).
-            while (
-                self.snd_nxt < self._highest_sent
-                and self._last_sack
-                and self.snd_nxt in self._last_sack
-            ):
-                self.snd_nxt += MSS
-            reason = "rto-gb" if self.snd_nxt < self._highest_sent else None
-            self._transmit(self.snd_nxt, reason=reason)
-            self.snd_nxt += MSS
-        self._last_send_time = self.sim._now
+        sim = self.sim
+        pacing = self.pacing
+        total_bytes = self.total_bytes
+        app_source = self.app_source
+        gap = None
+        while True:
+            # May send: a queued retransmission, or a segment the
+            # application has written and the window admits.
+            retx_queue = self._retx_queue
+            if not retx_queue:
+                seq = self.snd_nxt
+                if total_bytes is not None and seq >= total_bytes:
+                    return
+                if app_source is not None and seq + MSS > app_source.available_bytes(
+                    sim._now
+                ):
+                    self._wait_for_app()
+                    return
+                if (seq - self.snd_una) / MSS >= self.cwnd:
+                    return
+            now = sim._now
+            if pacing:
+                if gap is not None:
+                    # Sent this tick; the next one is a gap away.
+                    self._pace_handle = sim.schedule_at_cancellable(
+                        now + gap, self._send_loop
+                    )
+                    return
+                gap = self._pacing_interval()
+                due = self._last_send_time + gap
+                if due > now:
+                    self._pace_handle = sim.schedule_at_cancellable(due, self._send_loop)
+                    return
+            highest = self._highest_sent
+            resend = bool(retx_queue)
+            if resend:
+                seq, reason = retx_queue.pop(0)
+            else:
+                # After an RTO go-back, snd_nxt re-walks old territory;
+                # skip segments the receiver already holds (SACK blocks).
+                sack = self._last_sack
+                while seq < highest and sack and seq in sack:
+                    seq += MSS
+                reason = "rto-gb" if seq < highest else None
+            is_retx = seq < highest
+            packet = Packet(
+                self.flow_id, DATA, seq, SEGMENT_WIRE_BYTES, self.dscp, now, is_retx
+            )
+            if is_retx:
+                # Loss events are registered when the retransmission
+                # leaves the server -- this is what a capture-based
+                # estimator sees.
+                self.retx_log.append((now, seq, reason or "retx"))
+                if _obs.ENABLED:
+                    _obs.SINK.inc("netsim.tcp.retransmits")
+                    _obs.SINK.inc(f"netsim.tcp.retransmits.{reason or 'retx'}")
+            if seq + MSS > highest:
+                self._highest_sent = seq + MSS
+            self.send_times.append(now)
+            self.packets_sent += 1
+            self.path.inject(packet)
+            handle = self._rto_handle
+            if handle is None or handle.cancelled:
+                self._arm_rto()
+            if not resend:
+                self.snd_nxt = seq + MSS
+            self._last_send_time = now
 
     def _queue_retransmit(self, seq, reason):
         """Queue a retransmission, at most once per re-arm period.
@@ -290,30 +332,6 @@ class TcpSender:
         self._retransmitted[seq] = self.sim._now
         self._retx_queue.append((seq, reason))
         return True
-
-    def _transmit(self, seq, reason=None):
-        is_retx = seq < self._highest_sent
-        packet = Packet(
-            self.flow_id,
-            DATA,
-            seq,
-            SEGMENT_WIRE_BYTES,
-            dscp=self.dscp,
-            sent_at=self.sim._now,
-            is_retx=is_retx,
-        )
-        if is_retx:
-            # Loss events are registered when the retransmission leaves
-            # the server -- this is what a capture-based estimator sees.
-            self.retx_log.append((self.sim._now, seq, reason or "retx"))
-            if _obs.ENABLED:
-                _obs.SINK.inc("netsim.tcp.retransmits")
-                _obs.SINK.inc(f"netsim.tcp.retransmits.{reason or 'retx'}")
-        self._highest_sent = max(self._highest_sent, seq + MSS)
-        self.send_times.append(self.sim._now)
-        self.packets_sent += 1
-        self.path.inject(packet)
-        self._arm_rto()
 
     def _kick_sending(self):
         if self._stopped:
@@ -384,18 +402,20 @@ class TcpSender:
 
     def _on_ack(self, packet):
         ack = packet.seq
+        snd_una = self.snd_una
         if packet.sack is not None:
             self._last_sack = packet.sack
-        elif ack > self.snd_una:
+        elif ack > snd_una:
             # Receiver holds nothing out of order anymore.
             self._last_sack = None
-        if ack > self.snd_una:
-            newly_acked = (ack - self.snd_una) / MSS
+        if ack > snd_una:
+            newly_acked = (ack - snd_una) / MSS
             self.snd_una = ack
             self.dup_acks = 0
             self._rto_backoff = 1
+            sim = self.sim
             if not packet.is_retx:
-                self._rtt_sample(self.sim._now - packet.sent_at)
+                self._rtt_sample(sim._now - packet.sent_at)
             if self.in_recovery:
                 if ack >= self.recover:
                     self.in_recovery = False
@@ -410,11 +430,23 @@ class TcpSender:
                 self._ecn_backoff()
             else:
                 self._grow_cwnd(newly_acked)
-            if self.snd_una < self.snd_nxt:
-                self._arm_rto(force=True)
+            if ack < self.snd_nxt:
+                # _arm_rto(force=True) (keep the two in step), its
+                # common case here: the restart postpones the deadline.
+                handle = self._rto_handle
+                timeout = self.rto * self._rto_backoff
+                deadline = sim._now + (timeout if timeout <= MAX_RTO else MAX_RTO)
+                if handle is not None and not handle.cancelled and deadline >= handle.due:
+                    handle.due = deadline
+                else:
+                    self._arm_rto(force=True)
             else:
                 self._disarm_rto()
-            self._kick_sending()
+            # _kick_sending (keep the two in step).
+            if not self._stopped:
+                handle = self._pace_handle
+                if not self.pacing or handle is None or handle.cancelled:
+                    self._send_loop()
         elif ack == self.snd_una and self.snd_una < self.snd_nxt:
             self.dup_acks += 1
             # Early retransmit (RFC 5827): with fewer than 4 segments in
@@ -457,12 +489,13 @@ class TcpSender:
         rearm = max(self.rto, MIN_RTO)
         now = self.sim._now
         retransmitted = self._retransmitted
-        for hole in range(self.snd_una, top, MSS):
-            if hole not in blocks:
-                last = retransmitted.get(hole)
-                if last is None or now - last >= rearm:
-                    self._queue_retransmit(hole, "sack")
-                    return
+        # The holes below ``top`` in order; the SACKed segments between
+        # them (~3 in 4 of the walk) are skipped without a Python step.
+        for hole in filterfalse(blocks.__contains__, range(self.snd_una, top, MSS)):
+            last = retransmitted.get(hole)
+            if last is None or now - last >= rearm:
+                self._queue_retransmit(hole, "sack")
+                return
 
     def _ecn_backoff(self):
         """Congestion response to an ECN echo: halve, don't retransmit.

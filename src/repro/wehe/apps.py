@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.wehe.traces import Trace
+from repro.wehe.traces import Trace, memoize
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,10 @@ UDP_APPS = tuple(name for name, spec in APP_SPECS.items() if spec.protocol == "u
 #: benchmark reruns hit the cache instead of re-drawing tens of
 #: thousands of packets.  Hits restore the generator to the state it
 #: would have had after generation, so cached and uncached runs are
-#: bit-identical.
+#: bit-identical.  It keeps the last few traces only (see
+#: :func:`repro.wehe.traces.memoize`).
 _TRACE_CACHE = {}
-_TRACE_CACHE_MAX = 256
+_TRACE_CACHE_MAX = 4
 
 
 def _rng_state_key(rng):
@@ -152,9 +153,7 @@ def make_trace(app, duration, rng):
     else:
         schedule = _udp_schedule(spec, duration, rng)
     trace = Trace(app=app, protocol=spec.protocol, schedule=schedule, sni=spec.sni)
-    if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-        _TRACE_CACHE.clear()
-    _TRACE_CACHE[key] = (trace, rng.bit_generator.state)
+    memoize(_TRACE_CACHE, _TRACE_CACHE_MAX, key, (trace, rng.bit_generator.state))
     return trace
 
 

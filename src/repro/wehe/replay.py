@@ -25,7 +25,14 @@ from repro.netsim.capture import FlowCapture, PathMeasurements
 from repro.netsim.tcp import TcpReceiver, TcpSender
 from repro.netsim.udp import UdpReceiver, UdpSender
 from repro.wehe.loss_measurement import RetransmissionLossEstimator
-from repro.wehe.traces import MIN_REPLAY_DURATION, extend_to_duration
+from repro.wehe.traces import MIN_REPLAY_DURATION, derived_trace, extend_to_duration
+
+
+def _schedule_arrays(schedule):
+    """A schedule's packet times (float64) and cumulative payload bytes."""
+    times = np.asarray([t for t, _ in schedule], dtype=float)
+    sizes = np.asarray([s for _, s in schedule], dtype=float)
+    return times, array("d", np.cumsum(sizes).tobytes())
 
 
 class TraceAppSource:
@@ -38,15 +45,19 @@ class TraceAppSource:
     congestion window alone.
     """
 
+    __slots__ = ("_times", "_cumulative")
+
     def __init__(self, trace, start_at=0.0):
-        times = np.asarray([t for t, _ in trace.schedule], dtype=float) + start_at
-        sizes = np.asarray([s for _, s in trace.schedule], dtype=float)
+        times, cumulative = _schedule_arrays(trace.schedule)
+        self._share(array("d", (times + start_at).tobytes()), cumulative)
+
+    def _share(self, times, cumulative):
         # The sender asks once per send attempt, so lookups must not
         # pay for numpy scalars: the same float64 values live in compact
         # arrays (a list of floats would cost ~4x the memory) searched
-        # with bisect.
-        self._times = array("d", times)
-        self._cumulative = array("d", np.cumsum(sizes))
+        # with bisect.  Sources may share them; nothing writes to them.
+        self._times = times
+        self._cumulative = cumulative
 
     def available_bytes(self, now):
         """Payload bytes the application has written by time ``now``."""
@@ -61,6 +72,52 @@ class TraceAppSource:
         if index >= len(self._times):
             return None
         return self._times[index]
+
+
+class TcpReplaySchedule:
+    """A TCP trace's schedule at a replay's length, and its app-source arrays.
+
+    A verdict's TCP replays all replay one schedule -- the bit-inverted
+    trace shares the original's -- from three start times (four with
+    the sanity-check server), so a replay service derives this once per
+    verdict instead of once per replay: the extension (a 58 s netflix
+    trace doubles to ~52k packets), the cumulative payload array, and
+    one release-time array per start time.  ``attach_replay`` takes it
+    as ``tcp_schedule``.  Every value equals what :func:`attach_replay`
+    derives without it.
+    """
+
+    __slots__ = ("source", "duration", "schedule", "_offsets", "_cumulative", "_times")
+
+    def __init__(self, trace, duration):
+        #: The schedule this one extends; matched by identity.
+        self.source = trace.schedule
+        self.duration = duration
+        if trace.duration < duration:
+            trace = extend_to_duration(trace, duration)
+        self.schedule = trace.schedule
+        self._offsets, self._cumulative = _schedule_arrays(self.schedule)
+        self._times = {}  # start time -> release times
+
+    def replays(self, trace, duration):
+        """True when this is ``trace``'s schedule at ``duration`` seconds."""
+        return trace.schedule is self.source and duration == self.duration
+
+    def trace(self, trace):
+        """``trace`` (its app, protocol and SNI) over the extended schedule."""
+        if trace.schedule is self.schedule:
+            return trace
+        return derived_trace(trace, self.schedule, trace.sni)
+
+    def app_source(self, start_at):
+        """A :class:`TraceAppSource` for a replay starting at ``start_at``."""
+        times = self._times.get(start_at)
+        if times is None:
+            times = array("d", (self._offsets + start_at).tobytes())
+            self._times[start_at] = times
+        source = TraceAppSource.__new__(TraceAppSource)
+        source._share(times, self._cumulative)
+        return source
 
 
 class AckJitter:
@@ -166,6 +223,7 @@ def attach_replay(
     dscp=None,
     flow_id=None,
     ack_jitter=None,
+    tcp_schedule=None,
 ):
     """Wire a replay of ``trace`` from server ``which`` onto the topology.
 
@@ -174,7 +232,9 @@ def attach_replay(
     encoding of the paper's content-triggered classification.
     ``duration`` defaults to the extended-trace duration (>= 45 s).
     ``ack_jitter`` is the environment's :class:`AckJitter` (None: TCP
-    ACKs return after the bare reverse-path delay).
+    ACKs return after the bare reverse-path delay).  ``tcp_schedule``
+    is a :class:`TcpReplaySchedule` of a TCP ``trace`` at ``duration``
+    shared with the verdict's other replays (None: derive one).
     """
     if dscp is None:
         dscp = 1 if trace.is_original else 0
@@ -187,9 +247,10 @@ def attach_replay(
     if trace.protocol == "tcp":
         if duration is None:
             duration = max(trace.duration, MIN_REPLAY_DURATION)
-        replay_trace = trace
-        if replay_trace.duration < duration:
-            replay_trace = extend_to_duration(trace, duration)
+        if tcp_schedule is None:
+            tcp_schedule = TcpReplaySchedule(trace, duration)
+        elif not tcp_schedule.replays(trace, duration):
+            raise ValueError("tcp_schedule is not this trace's at this duration")
         receiver = TcpReceiver(sim, flow_id, capture)
         path = topology.forward_path(which, receiver)
         jitter = None if ack_jitter is None else ack_jitter.draw
@@ -204,10 +265,10 @@ def attach_replay(
             pacing=True,
             start_at=start_at,
             stop_at=start_at + duration,
-            app_source=TraceAppSource(replay_trace, start_at),
+            app_source=tcp_schedule.app_source(start_at),
         )
         reverse.sink = sender
-        trace = replay_trace
+        trace = tcp_schedule.trace(trace)
     else:
         replay_trace = extend_to_duration(trace)
         if duration is not None:
@@ -225,9 +286,9 @@ def attach_replay(
 
 
 def _truncate(trace, duration):
-    from repro.wehe.traces import Trace
-
+    if trace.schedule[-1][0] <= duration:
+        return trace
     schedule = tuple((t, s) for t, s in trace.schedule if t <= duration)
     if not schedule:
         schedule = (trace.schedule[0],)
-    return Trace(trace.app, trace.protocol, schedule, trace.sni)
+    return derived_trace(trace, schedule, trace.sni)

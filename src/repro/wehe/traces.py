@@ -77,22 +77,48 @@ class Trace:
         return self.total_bytes * 8.0 / span
 
 
+def derived_trace(trace, schedule, sni):
+    """A :class:`Trace` like ``trace`` over ``schedule``, without the checks.
+
+    For schedules derived from ``trace``'s, which is already validated,
+    in a way that keeps them time-sorted with positive sizes: the same
+    schedule, a prefix, a re-timing by a cumulative sum of non-negative
+    gaps, or sorted copies.  ``Trace(...)`` re-runs its O(n) checks on
+    every construction; callers building from their own data keep
+    using it.
+    """
+    derived = object.__new__(Trace)
+    derived.__dict__.update(
+        app=trace.app, protocol=trace.protocol, schedule=schedule, sni=sni
+    )
+    return derived
+
+
 def bit_invert(trace):
     """The WeHe control trace: identical sizes/timings, SNI destroyed."""
-    return Trace(
-        app=trace.app,
-        protocol=trace.protocol,
-        schedule=trace.schedule,
-        sni=None,
-    )
+    return derived_trace(trace, trace.schedule, None)
 
 
 #: Memo of Poisson-modified traces keyed by (source trace, rng state);
 #: same exact-replay contract as the ``make_trace`` cache (see
 #: :mod:`repro.wehe.apps`): a hit restores the generator to its
-#: post-generation state, so cached runs are bit-identical.
+#: post-generation state, so cached runs are bit-identical.  Bounded,
+#: like that memo, by :func:`memoize`.
 _POISSONIZE_CACHE = {}
-_POISSONIZE_CACHE_MAX = 256
+_POISSONIZE_CACHE_MAX = 4
+
+
+def memoize(cache, bound, key, value):
+    """Store ``value`` under ``key``, evicting the oldest entries past ``bound``.
+
+    The trace memos hold whole traces (a 60 s zoom trace is ~20k
+    packets); a verdict asks for several distinct ones and repeats none,
+    so a large memo only holds memory -- ~32 MB per localize round at
+    256 entries.  Eviction is first in, first out.
+    """
+    while len(cache) >= bound:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def poissonize(trace, rng):
@@ -121,12 +147,14 @@ def poissonize(trace, rng):
     schedule = tuple(
         (float(t), size) for t, (_, size) in zip(times, trace.schedule)
     )
-    modified = Trace(
-        app=trace.app, protocol=trace.protocol, schedule=schedule, sni=trace.sni
+    # A cumulative sum of non-negative gaps stays sorted.
+    modified = derived_trace(trace, schedule, trace.sni)
+    memoize(
+        _POISSONIZE_CACHE,
+        _POISSONIZE_CACHE_MAX,
+        key,
+        (modified, rng.bit_generator.state),
     )
-    if len(_POISSONIZE_CACHE) >= _POISSONIZE_CACHE_MAX:
-        _POISSONIZE_CACHE.clear()
-    _POISSONIZE_CACHE[key] = (modified, rng.bit_generator.state)
     return modified
 
 
@@ -146,12 +174,12 @@ def extend_to_duration(trace, min_duration=MIN_REPLAY_DURATION):
     while schedule[-1][0] < min_duration:
         schedule.extend((t + offset, size) for t, size in trace.schedule)
         offset += period
-    return Trace(
-        app=trace.app,
-        protocol=trace.protocol,
-        schedule=tuple(schedule),
-        sni=trace.sni,
-    )
+    # Each copy is sorted (adding one offset keeps the order), so only
+    # the seams between copies can be out of order.
+    n = trace.n_packets
+    if any(schedule[i][0] < schedule[i - 1][0] for i in range(n, len(schedule), n)):
+        raise ValueError("trace schedule must be time-sorted")
+    return derived_trace(trace, tuple(schedule), trace.sni)
 
 
 def _median_gap(trace):

@@ -20,7 +20,9 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import WildReplayService, isp_model
+from repro.netsim.bbr import BbrSender
 from repro.store.serialize import record_line
+from repro.wehe import replay
 from repro.wehe.apps import make_trace
 
 #: numpy ``major.minor`` the digests below were generated with.
@@ -195,3 +197,22 @@ def test_detection_cell_digest(cell):
 )
 def test_wild_cell_digest(cell):
     assert wild_digest(*cell) == GOLDEN_WILD[cell]
+
+
+#: Detection cells replayed by ``BbrSender``, patched in as the
+#: ``ablations`` claim does.  BBR paces by its own ``_pacing_interval``,
+#: so these pin that the TCP send loop still asks the subclass.
+GOLDEN_BBR = {
+    ("netflix", "common", "packet"): (
+        "d2bbc76c2c262da0d43323bcdf9ec8811a0ac147e6aa909bb21b3c4a72aa6745"
+    ),
+    ("netflix", "common", "hybrid"): (
+        "1c89e41bf0823a6e3a1f172bb25479eb3acf78fbd95e53abb8d44e47a41931ee"
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_BBR), ids="-".join)
+def test_bbr_cell_digest(cell, monkeypatch):
+    monkeypatch.setattr(replay, "TcpSender", BbrSender)
+    assert cell_digest(*cell) == GOLDEN_BBR[cell]

@@ -179,3 +179,30 @@ class TestAppLimited:
         # the application's writes by more than one chunk.
         assert receiver.rcv_nxt <= source.available_bytes(5.0) + 2 * MSS
         assert receiver.rcv_nxt > 0.5e6 * 5 / 8
+
+    @pytest.mark.parametrize("pacing", [True, False])
+    def test_send_loop_asks_any_app_source(self, pacing):
+        # The send loop must go through available_bytes: background
+        # flows use SteadyAppSource, which has no replay schedule arrays.
+        from repro.netsim.background import SteadyAppSource
+
+        class Counting(SteadyAppSource):
+            asked = 0
+
+            def available_bytes(self, now):
+                Counting.asked += 1
+                return super().available_bytes(now)
+
+        sim = Simulator()
+        link = Link(sim, "l", 100e6, 0.005)
+        receiver = TcpReceiver(sim, "f", FlowCapture())
+        reverse = DirectPath(sim, 0.005, None)
+        source = Counting(1e6, start_at=0.0)
+        sender = TcpSender(
+            sim, "f", Path([link], receiver), receiver, reverse,
+            pacing=pacing, stop_at=2.0, app_source=source,
+        )
+        reverse.sink = sender
+        sim.run(until=3.0)
+        assert Counting.asked > sender.packets_sent > 0
+        assert receiver.rcv_nxt <= source.available_bytes(2.0) + 2 * MSS

@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import FigureOneTopology, TopologyConfig
 from repro.wehe.apps import make_trace
-from repro.wehe.replay import AckJitter, TraceAppSource, attach_replay
-from repro.wehe.traces import Trace, bit_invert
+from repro.wehe.replay import (
+    AckJitter,
+    TcpReplaySchedule,
+    TraceAppSource,
+    attach_replay,
+)
+from repro.wehe.traces import Trace, bit_invert, extend_to_duration
 
 
 @pytest.fixture
@@ -80,6 +85,64 @@ class TestTraceAppSourceEquivalence:
             assert source.available_bytes(now) == available
             assert source.next_release_after(now) == release
             assert type(source.available_bytes(now)) is float
+
+
+class TestTcpReplaySchedule:
+    """One verdict's shared TCP schedule against per-replay derivations."""
+
+    @pytest.mark.parametrize("duration", [20.0, 60.0])
+    def test_shared_sources_answer_like_fresh_ones(self, rng, duration):
+        trace = make_trace("netflix", 20.0, rng)
+        shared = TcpReplaySchedule(trace, duration)
+        extended = extend_to_duration(trace, duration)
+        assert shared.schedule == extended.schedule
+        times = [t for t, _ in extended.schedule]
+        offset = float(rng.uniform(0.02, 0.1))
+        # The single and path-1 replays start at warm-up, path 2 an
+        # offset later.
+        for start_at in (1.0, 1.0 + offset):
+            fresh = TraceAppSource(extended, start_at)
+            source = shared.app_source(start_at)
+            probes = [t + start_at for t in times] + [0.0, start_at - 1e-9, 1e6]
+            assert [source.available_bytes(t) for t in probes] == [
+                fresh.available_bytes(t) for t in probes
+            ]
+            assert [source.next_release_after(t) for t in probes] == [
+                fresh.next_release_after(t) for t in probes
+            ]
+        # Sources from one start time share their arrays.
+        assert shared.app_source(1.0)._times is shared.app_source(1.0)._times
+
+    def test_inverted_trace_shares_the_schedule_and_keeps_its_sni(self, rng):
+        trace = make_trace("netflix", 20.0, rng)
+        inverted = bit_invert(trace)
+        shared = TcpReplaySchedule(trace, 45.0)
+        assert shared.replays(inverted, 45.0)
+        assert not shared.replays(inverted, 30.0)
+        assert shared.trace(inverted).sni is None
+        assert shared.trace(trace).sni == trace.sni
+        assert shared.trace(inverted).schedule is shared.schedule
+
+    def test_attach_replay_with_a_shared_schedule_equals_without(self, rng):
+        trace = make_trace("netflix", 20.0, rng)
+        shared = TcpReplaySchedule(trace, 30.0)
+        runs = []
+        for tcp_schedule in (None, shared):
+            sim, topology = build(limiter="common", rate=2e6)
+            handle = attach_replay(
+                sim, topology, 1, trace, start_at=0.5, duration=30.0,
+                tcp_schedule=tcp_schedule,
+            )
+            sim.run(until=31.0)
+            runs.append((handle.trace, handle.sender.send_times, handle.sender.retx_log))
+        assert runs[0] == runs[1]
+
+    def test_attach_replay_rejects_another_traces_schedule(self, rng):
+        shared = TcpReplaySchedule(make_trace("netflix", 20.0, rng), 30.0)
+        other = make_trace("netflix", 20.0, rng)
+        sim, topology = build()
+        with pytest.raises(ValueError):
+            attach_replay(sim, topology, 1, other, duration=30.0, tcp_schedule=shared)
 
 
 class TestAckJitter:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.wehe import apps, traces
 from repro.wehe.apps import APP_SPECS, TCP_APPS, UDP_APPS, make_trace
+from repro.wehe.replay import _truncate
 from repro.wehe.traces import (
     MIN_REPLAY_DURATION,
     Trace,
@@ -142,3 +144,96 @@ class TestAppLibrary:
     def test_tcp_traces_are_mss_packets(self, rng):
         trace = make_trace("netflix", 10.0, rng)
         assert all(size == 1448 for _, size in trace.schedule)
+
+
+def _validated(trace):
+    """``trace`` rebuilt through the checking constructor."""
+    return Trace(trace.app, trace.protocol, trace.schedule, trace.sni)
+
+
+class TestDerivedTraces:
+    """bit_invert, poissonize, extension and truncation skip the checks."""
+
+    def test_bad_user_schedules_still_raise(self):
+        for schedule in (
+            ((1.0, 100), (0.5, 100)),
+            ((0.0, 100), (0.1, 0)),
+            ((0.0, -5),),
+            (),
+        ):
+            with pytest.raises(ValueError):
+                Trace("app", "udp", schedule)
+
+    @pytest.mark.parametrize("app", ["netflix", "zoom", "skype"])
+    def test_every_derived_trace_equals_a_validated_rebuild(self, app, rng):
+        trace = make_trace(app, 20.0, rng)
+        derived = [
+            bit_invert(trace),
+            extend_to_duration(trace, 50.0),
+            extend_to_duration(bit_invert(trace), 50.0),
+            _truncate(trace, 10.0),
+            _truncate(trace, 30.0),
+        ]
+        if trace.protocol == "udp":
+            derived.append(poissonize(trace, rng))
+            derived.append(_truncate(poissonize(trace, rng), 10.0))
+        for result in derived:
+            assert type(result) is Trace
+            assert result == _validated(result)
+            assert hash(result) == hash(_validated(result))
+
+    def test_extension_seams_are_checked(self):
+        # A zero median gap makes each copy start where the last one
+        # ended.  Here a copy's offset rounds below the previous copy's
+        # last time, which the checking constructor rejects; with exact
+        # binary times the seams hold.
+        rounding = ((0.1, 100), (0.1, 100), (0.3, 100), (0.3, 100), (0.3, 100))
+        with pytest.raises(ValueError, match="time-sorted"):
+            extend_to_duration(Trace("app", "udp", rounding), 5.0)
+        exact = ((0.0, 100), (0.0, 100), (0.25, 100), (0.25, 100), (0.25, 100))
+        extended = extend_to_duration(Trace("app", "udp", exact), 5.0)
+        assert extended.n_packets == 100
+        assert extended == _validated(extended)
+
+
+class TestTraceMemos:
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        apps._TRACE_CACHE.clear()
+        traces._POISSONIZE_CACHE.clear()
+        yield
+        apps._TRACE_CACHE.clear()
+        traces._POISSONIZE_CACHE.clear()
+
+    def test_many_distinct_traces_stay_within_the_bounds(self):
+        for seed in range(3 * apps._TRACE_CACHE_MAX):
+            rng = np.random.default_rng(seed)
+            trace = make_trace("zoom", 2.0, rng)
+            poissonize(trace, rng)
+            assert len(apps._TRACE_CACHE) <= apps._TRACE_CACHE_MAX
+            assert len(traces._POISSONIZE_CACHE) <= traces._POISSONIZE_CACHE_MAX
+
+    def test_oldest_entry_is_evicted_first(self):
+        keys = []
+        for seed in range(apps._TRACE_CACHE_MAX + 1):
+            make_trace("zoom", 2.0, np.random.default_rng(seed))
+            keys.append(list(apps._TRACE_CACHE)[-1])
+        assert list(apps._TRACE_CACHE) == keys[1:]
+
+    @pytest.mark.parametrize("app", ["netflix", "zoom"])
+    def test_a_hit_restores_the_generator_state(self, app):
+        first = np.random.default_rng(5)
+        trace = make_trace(app, 3.0, first)
+        modified = poissonize(trace, first) if trace.protocol == "udp" else trace
+        after = first.bit_generator.state
+        hits = len(apps._TRACE_CACHE), len(traces._POISSONIZE_CACHE)
+
+        second = np.random.default_rng(5)
+        again = make_trace(app, 3.0, second)
+        if trace.protocol == "udp":
+            assert poissonize(again, second) is modified
+        assert again is trace
+        assert second.bit_generator.state == after
+        assert (len(apps._TRACE_CACHE), len(traces._POISSONIZE_CACHE)) == hits
+        # The restored generator continues the uncached stream.
+        assert second.random() == first.random()
