@@ -1,11 +1,11 @@
 """The whole system, end to end.
 
-Builds a synthetic internet, collects a month of traceroutes, runs
-topology construction, then coordinates a complete WeHeY test for a
-client whose ISP collectively throttles a video service: topology
-lookup, simultaneous replays on the simulator, differentiation
-confirmation, common-bottleneck detection, and post-replay topology
-re-verification.
+Builds a policy-routed synthetic internet, collects a month of
+traceroutes, runs topology construction, then coordinates a complete
+WeHeY test for a client whose ISP collectively throttles a video
+service: topology lookup, simultaneous replays on the simulator,
+differentiation confirmation, common-bottleneck detection, and
+post-replay topology re-verification.
 
 Run:  python examples/full_system.py
 """
@@ -15,8 +15,8 @@ import numpy as np
 from repro.core.coordinator import CoordinationStatus, WeHeYCoordinator
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import default_tdiff
+from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import TopologyConstructor
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
@@ -29,8 +29,9 @@ def main():
     # Low aliasing keeps the walkthrough snappy: heavily aliased ISPs
     # mostly fail post-replay verification (run the coordinator tests
     # to see that path).
-    internet = SyntheticInternet(
-        rng, n_isps=8, clients_per_isp=5, alias_fraction=0.05
+    internet = PolicyInternet(
+        seed=0, rng=rng, clients_per_isp=5,
+        icmp_block_fraction=0.25, alias_fraction=0.05,
     )
     annotations = AnnotationDatabase(internet)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
@@ -39,9 +40,7 @@ def main():
 
     # -- the ground truth: a collectively throttling client ISP --------
     scenario = ScenarioConfig(app="netflix", limiter="common", seed=3)
-    verifier = TopologyVerifier(
-        internet, annotations, rng, route_change_probability=0.05
-    )
+    verifier = TopologyVerifier(internet, annotations, rng)
     coordinator = WeHeYCoordinator(
         internet, database, verifier, scenario, rng, default_tdiff()
     )

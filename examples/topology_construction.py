@@ -1,7 +1,7 @@
 """Topology construction over a synthetic internet (Section 3.3).
 
-Builds an internet of M-Lab sites, transit carriers and client ISPs
-(including ICMP-blocking ISPs and IP-aliased routers), collects a
+Places M-Lab sites and client ISPs (including ICMP-blocking ISPs and
+IP-aliased routers) on a seeded 200-AS policy-routed graph, collects a
 month of traceroutes, runs the TC pipeline, and queries the resulting
 topology database the way a WeHeY client would.
 
@@ -10,8 +10,8 @@ Run:  python examples/topology_construction.py
 
 import numpy as np
 
+from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.tables import annotation_table, traceroute_table
 from repro.mlab.topology_construction import TopologyConstructor
 from repro.mlab.traceroute import collect_month
@@ -19,11 +19,12 @@ from repro.mlab.traceroute import collect_month
 
 def main():
     rng = np.random.default_rng(2023)
-    internet = SyntheticInternet(
-        rng,
+    internet = PolicyInternet(
+        seed=0,
+        rng=rng,
         n_sites=5,
         servers_per_site=2,
-        n_isps=10,
+        n_client_isps=10,
         clients_per_isp=6,
         icmp_block_fraction=0.3,
         alias_fraction=0.2,

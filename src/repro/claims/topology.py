@@ -1,7 +1,6 @@
 """Claim: topology construction is exact, fast, and survives route dynamics.
 
-Four legs over the pinned 1000-AS policy-routed internet, and one over
-the Section-3.3 synthetic internet:
+Five legs over the pinned 1000-AS policy-routed internet:
 
 - ``graph``: seeded CAIDA-style graph generation is deterministic
   (two generations, one fingerprint);
@@ -21,9 +20,10 @@ the Section-3.3 synthetic internet:
   completed test may use a pair the oracle calls unsuitable, and TC
   precision must hold after healing;
 - ``coverage``: Section 3.3's statistics over a synthetic M-Lab
-  traceroute month, ICMP blocking and aliasing tuned to the paper's
-  regime (paper: 52% of clients have a complete traceroute, 74% of
-  those a suitable topology).
+  traceroute month on the pinned graph, with ICMP blocking, aliasing
+  and annotation misses tuned to the paper's regime (paper: 52% of
+  clients have a complete traceroute, 74% of those a suitable
+  topology).
 """
 
 from collections import Counter
@@ -269,7 +269,7 @@ def measure_dynamics(internet, annotations, database, quick):
         duration=10.0 if quick else 20.0,
         fidelity="hybrid",
     )
-    verifier = TopologyVerifier(internet, annotations, rng, route_change_probability=0.0)
+    verifier = TopologyVerifier(internet, annotations, rng)
     tdiff = np.random.default_rng(9).normal(0.0, 0.08, 80)
     coordinator = WeHeYCoordinator(
         internet,
@@ -337,15 +337,16 @@ def measure_dynamics(internet, annotations, database, quick):
 
 
 def measure_coverage():
-    """Section 3.3's coverage pipeline over the synthetic internet."""
+    """Section 3.3's coverage pipeline over a fresh pinned-graph internet."""
+    from repro.inet import PolicyInternet
     from repro.mlab.annotations import AnnotationDatabase
-    from repro.mlab.internet import SyntheticInternet
     from repro.mlab.topology_construction import TopologyConstructor
     from repro.mlab.traceroute import collect_month
 
     rng = np.random.default_rng(77)
-    internet = SyntheticInternet(
-        rng, n_sites=5, servers_per_site=2, n_isps=12, clients_per_isp=8,
+    internet = PolicyInternet(
+        seed=GRAPH_SEED, n_ases=GRAPH_ASES, rng=rng,
+        n_sites=5, servers_per_site=2, n_client_isps=12, clients_per_isp=8,
         icmp_block_fraction=0.35, alias_fraction=0.25,
     )
     annotations = AnnotationDatabase(internet, rng=rng, miss_rate=0.02)

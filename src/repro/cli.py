@@ -4,8 +4,9 @@ Three subcommands mirror how the system is used:
 
 - ``localize`` -- run one end-to-end WeHeY test on a simulated scenario
   and print the localization report;
-- ``topology`` -- build a synthetic internet, run topology construction,
-  and print the coverage statistics;
+- ``topology`` -- build a policy-routed synthetic internet
+  (:class:`repro.inet.PolicyInternet`), run topology construction, and
+  print the coverage statistics and the ground-truth oracle's score;
 - ``sweep`` -- run an FN or FP sweep over seeds for a scenario cell.
 
 Examples::
@@ -193,61 +194,51 @@ def cmd_localize(args):
 
 
 def cmd_topology(args):
+    from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
     from repro.mlab.annotations import AnnotationDatabase
-    from repro.mlab.internet import SyntheticInternet
     from repro.mlab.topology_construction import TopologyConstructor
     from repro.mlab.traceroute import collect_month
 
-    rng = np.random.default_rng(args.seed)
-    if args.ases:
-        from repro.inet import PolicyInternet
-
+    events = ()
+    try:
         internet = PolicyInternet(
             seed=args.seed,
             n_ases=args.ases,
             n_client_isps=args.isps,
             clients_per_isp=args.clients,
         )
-        records = collect_month(
-            internet, rng, tests_per_client=len(internet.servers)
-        )
-    else:
-        internet = SyntheticInternet(
-            rng, n_isps=args.isps, clients_per_isp=args.clients
-        )
-        records = collect_month(internet, rng)
+        if args.dynamics_events:
+            events = generate_schedule(
+                internet.graph,
+                args.seed + 1,
+                n_failures=args.dynamics_events,
+                n_flips=1,
+                targets=internet.isp_asns,
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rng = np.random.default_rng(args.seed)
+    records = collect_month(internet, rng, tests_per_client=len(internet.servers))
     annotations = AnnotationDatabase(internet)
     tc = TopologyConstructor(annotations)
     database = tc.build(records)
     stats = tc.coverage(records, database)
-    if args.ases:
-        print(f"AS graph              : {len(internet.graph.asns)} ASes, "
-              f"{internet.graph.n_edges} edges")
+    print(f"AS graph              : {len(internet.graph.asns)} ASes, "
+          f"{internet.graph.n_edges} edges")
     print(f"traceroutes           : {len(records)}")
     print(f"complete fraction     : {stats['complete_fraction']:.0%}")
     print(f"suitable fraction     : {stats['suitable_fraction']:.0%}")
     print(f"topology-db entries   : {len(database)}")
-
-    if not args.ases:
-        return 0
-
-    from repro.inet import RouteDynamics, TopologyOracle, generate_schedule
 
     oracle = TopologyOracle(internet)
     score = oracle.score(database)
     print(f"oracle precision      : {score['precision']:.3f}")
     print(f"oracle recall         : {score['recall']:.3f}")
 
-    if not args.dynamics_events:
+    if not events:
         return 0
 
-    events = generate_schedule(
-        internet.graph,
-        args.seed + 1,
-        n_failures=args.dynamics_events,
-        n_flips=1,
-        targets=internet.isp_asns,
-    )
     internet.attach_dynamics(RouteDynamics(events))
     detected = healed = 0
     for event in events:
@@ -523,21 +514,21 @@ def build_parser():
     localize.set_defaults(func=cmd_localize)
 
     topology = subparsers.add_parser(
-        "topology", help="run topology construction on a synthetic internet"
+        "topology",
+        help="run topology construction on a policy-routed synthetic internet",
     )
-    topology.add_argument("--isps", type=int, default=8)
-    topology.add_argument("--clients", type=int, default=6)
+    topology.add_argument("--isps", type=int, default=8, help="client ISPs")
+    topology.add_argument("--clients", type=int, default=6, help="clients per ISP")
     topology.add_argument("--seed", type=int, default=0)
     topology.add_argument(
-        "--ases", type=int, default=None, metavar="N",
-        help="use the repro.inet policy-routed AS graph with N ASes "
-             "(default: the legacy hand-wired synthetic internet)",
+        "--ases", type=int, default=200, metavar="N",
+        help="ASes in the seeded policy-routed AS graph (default 200)",
     )
     topology.add_argument(
         "--dynamics-events", type=int, default=0, metavar="N",
-        help="with --ases: schedule N link failures (plus recoveries "
-             "and one policy flip), heal stale entries, and report "
-             "pre/post oracle precision and recall",
+        help="schedule N link failures (plus recoveries and one policy "
+             "flip), heal stale entries, and report post-dynamics oracle "
+             "precision and recall",
     )
     topology.set_defaults(func=cmd_topology)
 

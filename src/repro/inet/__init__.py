@@ -1,9 +1,9 @@
 """``repro.inet`` -- an internet-scale AS topology with policy routing.
 
-The :mod:`repro.mlab` synthetic internet is ~20 hand-wired ASes with
-static routes; this subsystem replaces its core with a model sized and
-shaped like the internet topology construction (Section 3.3) actually
-faces:
+The world model every :mod:`repro.mlab` stage (traceroutes,
+annotations, topology construction, verification) and the coordinator
+run over, sized and shaped like the internet topology construction
+(Section 3.3) actually faces:
 
 - :mod:`~repro.inet.asgraph` -- a seeded CAIDA-style AS-level graph:
   power-law degrees via preferential attachment, customer/provider and
@@ -20,12 +20,11 @@ faces:
   mid-test, with bounded per-(source, destination) convergence windows
   during which stale paths keep being used (and traceroutes over a
   failed link truncate, exactly as BGP transients blackhole);
-- :mod:`~repro.inet.internet` -- :class:`PolicyInternet`, a drop-in
-  for :class:`~repro.mlab.internet.SyntheticInternet`: same surface
+- :mod:`~repro.inet.internet` -- :class:`PolicyInternet`: M-Lab
+  server sites and client ISPs (with router hierarchies, ICMP blocking
+  and IP aliasing) placed on the graph, with router-level routes
   (``servers``/``clients``/``isps``/``route``/``isp_of``/
-  ``find_client``), so traceroutes, annotation databases, topology
-  construction, verification, and the coordinator run unchanged on
-  1000+-AS graphs;
+  ``find_client``) on 1000+-AS graphs;
 - :mod:`~repro.inet.oracle` -- the ground-truth oracle: it derives the
   *true* suitable server pairs from the graph itself and scores a TC
   :class:`~repro.mlab.topology_construction.TopologyDatabase` with

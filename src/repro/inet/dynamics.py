@@ -91,6 +91,8 @@ def generate_schedule(
     ``isp_asns`` to guarantee the events move paths the topology
     database actually covers.
     """
+    if n_failures < 0 or n_flips < 0:
+        raise ValueError("event counts must be >= 0")
     rng = np.random.default_rng([int(seed), 0xD1A])
     multihomed = _flippable_stubs(graph)
     if targets is not None:

@@ -1,15 +1,20 @@
 """``PolicyInternet``: a routable internet grown from an AS graph.
 
-Drop-in for :class:`repro.mlab.internet.SyntheticInternet`: it exposes
-the same surface (``servers``/``clients``/``isps``/``route``/
-``isp_of``/``find_client``/``transit_routers``), so the scamper
-traceroute model, annotation databases, topology construction,
-post-replay verification, and the coordinator all run unchanged --
-but routes come from Gao-Rexford policy routing over a seeded
-CAIDA-style graph, and they *move*: attach a
-:class:`~repro.inet.dynamics.RouteDynamics` schedule and advance the
-clock, and paths fail over, converge, and flip underneath whatever is
-measuring them.
+The one world model behind the scamper traceroute model, annotation
+databases, topology construction, post-replay verification, and the
+coordinator.  It exposes ``servers``/``clients``/``isps``/``route``/
+``isp_of``/``find_client``/``transit_routers``; routes come from
+Gao-Rexford policy routing over a seeded CAIDA-style graph, and they
+*move*: attach a :class:`~repro.inet.dynamics.RouteDynamics` schedule
+and advance the clock, and paths fail over, converge, and flip
+underneath whatever is measuring them.
+
+Real-world messiness topology construction must survive is drawn per
+ISP/router: ``icmp_block_fraction`` of ISPs drop ICMP near the client,
+so their traceroutes end before the destination (condition (a) of
+Section 3.3), and ``alias_fraction`` of border and aggregation routers
+answer from a different interface IP per incoming link, so consecutive
+traceroute links do not meet at the same IP (condition (b)).
 
 Router-level expansion is deterministic: each transit AS on a path
 contributes one router chosen by the ingress neighbor (two paths
@@ -27,11 +32,69 @@ filter (a) rejects it -- the same observable a real blackholed BGP
 transient produces.
 """
 
+from dataclasses import dataclass, field
+
 from repro.inet.policy import as_path as _as_path
 from repro.inet.policy import compute_routes
 from repro.inet.dynamics import convergence_fraction
-from repro.mlab.internet import Client, Isp, Router, Server, _ip
 from repro.obs import metrics as _obs
+
+
+def _ip(a, b, c, d):
+    return f"{a}.{b}.{c}.{d}"
+
+
+@dataclass
+class Router:
+    """One router; may expose several interface IPs (aliasing)."""
+
+    name: str
+    asn: int
+    interfaces: tuple
+    aliased: bool = False
+
+    def ip_for(self, incoming_index):
+        """Interface IP used when answering a probe arriving on a link.
+
+        Non-aliased routers always answer from their canonical IP;
+        aliased routers answer from a per-link interface, which is what
+        breaks naive IP-level node comparison.
+        """
+        if not self.aliased:
+            return self.interfaces[0]
+        return self.interfaces[incoming_index % len(self.interfaces)]
+
+
+@dataclass
+class Client:
+    """An end host inside a client ISP."""
+
+    name: str
+    ip: str
+    asn: int
+    isp: str
+
+
+@dataclass
+class Server:
+    """An M-Lab measurement server."""
+
+    name: str
+    ip: str
+    asn: int
+    site: str
+
+
+@dataclass
+class Isp:
+    """A client ISP with its internal router hierarchy."""
+
+    name: str
+    asn: int
+    borders: list = field(default_factory=list)
+    aggregations: list = field(default_factory=list)
+    last_miles: dict = field(default_factory=dict)  # client name -> Router
+    blocks_icmp: bool = False
 
 
 class PolicyInternet:
@@ -48,8 +111,10 @@ class PolicyInternet:
         clients_per_isp: clients attached to each ISP.
         routers_per_as: routers per transit/tier-1 AS (ingress
             diversity of the router-level expansion).
-        icmp_block_fraction / alias_fraction: the Section-3.3
-            messiness knobs, same semantics as ``SyntheticInternet``.
+        icmp_block_fraction: fraction of client ISPs that block ICMP
+            near the client (their traceroutes are incomplete).
+        alias_fraction: fraction of border/aggregation routers that
+            are IP-aliased.
         dynamics: optional :class:`~repro.inet.dynamics.RouteDynamics`;
             attach later with :meth:`attach_dynamics` if preferred.
     """
@@ -71,6 +136,11 @@ class PolicyInternet:
     ):
         if n_sites < 2:
             raise ValueError("need at least two M-Lab sites")
+        if min(servers_per_site, n_client_isps) < 1:
+            raise ValueError("servers_per_site and n_client_isps must be >= 1")
+        if not 1 <= clients_per_isp <= 155:
+            # Client c of an ISP owns the /24 x.y.(100 + c).0.
+            raise ValueError("clients_per_isp must be in [1, 155]")
         if graph is None:
             from repro.inet.asgraph import generate_as_graph
 
@@ -201,7 +271,7 @@ class PolicyInternet:
         if dynamics is not None:
             self.attach_dynamics(dynamics)
 
-    # -- compatibility surface ---------------------------------------
+    # -- lookups ------------------------------------------------------
 
     def isp_of(self, client):
         try:

@@ -7,12 +7,11 @@ IPinfo.io and RouteViews, and finds -- for every traceroute destination
 exactly once, inside the destination's ISP.
 
 Offline we cannot query BigQuery, so this subpackage provides the whole
-chain as a faithful substitute:
+chain as a faithful substitute, run over the policy-routed world model
+of :class:`repro.inet.PolicyInternet` (servers, client ISPs with
+internal router hierarchies, and the messiness TC must filter:
+ICMP-blocking ISPs and IP aliasing):
 
-- :mod:`~repro.mlab.internet` -- a synthetic Internet: server ASes,
-  transit ASes, client ISPs with internal router hierarchies, clients;
-  including the messiness TC must filter (ICMP-blocking ISPs and IP
-  aliasing);
 - :mod:`~repro.mlab.traceroute` -- scamper-like traceroute records;
 - :mod:`~repro.mlab.annotations` -- the ASN/geo annotation databases;
 - :mod:`~repro.mlab.tables` -- a tiny joinable record store standing in
@@ -20,7 +19,6 @@ chain as a faithful substitute:
 - :mod:`~repro.mlab.topology_construction` -- the TC algorithm itself.
 """
 
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import (
     TopologyConstructor,
     TopologyDatabase,
@@ -29,7 +27,6 @@ from repro.mlab.topology_construction import (
 from repro.mlab.traceroute import TracerouteRecord, run_traceroute
 
 __all__ = [
-    "SyntheticInternet",
     "TracerouteRecord",
     "run_traceroute",
     "TopologyConstructor",

@@ -6,10 +6,10 @@ topology is *still* suitable (paths converge once, inside the ISP).
 Routes change; when verification fails the measurements are discarded
 and the topology database entry is invalidated.
 
-``TopologyVerifier`` re-runs the traceroutes over the synthetic
-internet; ``route_change_probability`` injects BGP-style path changes
-(the client's aggregation router is re-drawn) so the discard path is
-exercisable.
+``TopologyVerifier`` re-runs the traceroutes over the world model; the
+routes it sees move only when the internet's
+:class:`~repro.inet.dynamics.RouteDynamics` schedule moves them, which
+is what exercises the discard path.
 """
 
 from repro.mlab.topology_construction import TopologyConstructor
@@ -19,45 +19,15 @@ from repro.mlab.traceroute import run_traceroute
 class TopologyVerifier:
     """Re-validates a suitable topology after the replays."""
 
-    def __init__(self, internet, annotations, rng, route_change_probability=0.0):
-        if not 0.0 <= route_change_probability <= 1.0:
-            raise ValueError("route_change_probability must be in [0, 1]")
+    def __init__(self, internet, annotations, rng):
         self.internet = internet
         self.annotations = annotations
         self.rng = rng
-        self.route_change_probability = route_change_probability
         self._constructor = TopologyConstructor(annotations)
-
-    def _maybe_perturb_routes(self, client):
-        """Simulate a route change affecting this client."""
-        if self.rng.random() >= self.route_change_probability:
-            return
-        isp = self.internet.isp_of(client)
-        new_aggregation = isp.aggregations[
-            int(self.rng.integers(0, len(isp.aggregations)))
-        ]
-        transit_asns = sorted(self.internet.transit_routers)
-        for server in self.internet.servers:
-            route = self.internet._routes[(server.name, client.name)]
-            # Re-draw the transit chain: after a route change, two
-            # servers may share transit routers, which makes the pair
-            # unsuitable (common node outside the ISP).
-            transit = self.internet.transit_routers[
-                transit_asns[int(self.rng.integers(0, len(transit_asns)))]
-            ]
-            start = int(self.rng.integers(0, len(transit)))
-            route[0] = transit[start]
-            route[1] = transit[(start + 1) % len(transit)]
-            # The aggregation hop sits just before the last-mile router.
-            route[-2] = new_aggregation
-            route[-3] = isp.borders[
-                int(self.rng.integers(0, len(isp.borders)))
-            ]
 
     def verify(self, topology_entry, client_name):
         """True iff the server pair still forms a suitable topology."""
         client = self.internet.find_client(client_name)
-        self._maybe_perturb_routes(client)
         servers = {s.name: s for s in self.internet.servers}
         records = []
         for server_name in topology_entry.server_pair:

@@ -9,31 +9,50 @@ from repro.core.coordinator import (
     rtts_from_traceroutes,
 )
 from repro.experiments.scenarios import ScenarioConfig
+from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import TopologyConstructor
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
 
 
-@pytest.fixture(scope="module")
-def platform():
+def build_platform():
     rng = np.random.default_rng(41)
-    internet = SyntheticInternet(
-        rng, icmp_block_fraction=0.0, alias_fraction=0.0
-    )
+    internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
     database = TopologyConstructor(annotations).build(records)
     return internet, annotations, database, rng
 
 
-def make_coordinator(platform, route_change=0.0, duration=25.0):
+@pytest.fixture(scope="module")
+def platform():
+    return build_platform()
+
+
+def fail_one_route(internet, database):
+    """Fail one client-ISP provider link and let routing converge.
+
+    Returns a client whose first candidate entry the failure made
+    stale -- the pair the coordinator tries first.
+    """
+    events = generate_schedule(
+        internet.graph, 1, n_failures=1, n_flips=0, targets=internet.isp_asns
+    )
+    internet.attach_dynamics(RouteDynamics(events))
+    down = events[0]
+    internet.advance_to(down.time + down.convergence_s + 1.0)
+    for entry, name in TopologyOracle(internet).stale_entries(database):
+        client = internet.find_client(name)
+        if database.lookup(client.ip, client.asn)[0] == entry:
+            return client
+    pytest.fail("the failure left no client's first entry stale")
+
+
+def make_coordinator(platform, duration=25.0):
     internet, annotations, database, rng = platform
     scenario = ScenarioConfig(app="zoom", limiter="common", duration=duration)
-    verifier = TopologyVerifier(
-        internet, annotations, rng, route_change_probability=route_change
-    )
+    verifier = TopologyVerifier(internet, annotations, rng)
     tdiff = np.random.default_rng(9).normal(0.0, 0.08, 80)
     return WeHeYCoordinator(internet, database, verifier, scenario, rng, tdiff)
 
@@ -69,17 +88,15 @@ class TestCoordinator:
         assert report.status is CoordinationStatus.NO_TOPOLOGY
         assert not report.localized
 
-    def test_route_churn_discards_measurements(self, platform):
-        coordinator = make_coordinator(platform, route_change=1.0, duration=15.0)
-        client = client_with_topology(platform)
-        outcomes = set()
-        for _ in range(5):
-            report = coordinator.run_test(client.name, app="zoom")
-            outcomes.add(report.status)
-            if report.status is CoordinationStatus.DISCARDED_TOPOLOGY_CHANGED:
-                assert report.localization is None
-                break
-        assert CoordinationStatus.DISCARDED_TOPOLOGY_CHANGED in outcomes
+    def test_route_churn_discards_measurements(self):
+        # A private platform: route dynamics mutate the internet.
+        churned = build_platform()
+        internet, _annotations, database, _rng = churned
+        client = fail_one_route(internet, database)
+        coordinator = make_coordinator(churned, duration=15.0)
+        report = coordinator.run_test(client.name, app="zoom")
+        assert report.status is CoordinationStatus.DISCARDED_TOPOLOGY_CHANGED
+        assert report.localization is None
 
     def test_rtt_estimation_from_traceroutes(self, platform):
         internet, _, database, rng = platform

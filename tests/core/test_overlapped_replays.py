@@ -25,8 +25,8 @@ from repro.experiments import runner
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import default_tdiff, run_wild_test
 from repro.faults import FaultInjector, RetryPolicy
+from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import TopologyConstructor
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
@@ -245,7 +245,7 @@ def test_wild_sweep_workers_fork_no_replay_child(monkeypatch, tmp_path):
 def test_coordinator_fault_draws_match_the_serial_schedule(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     rng = np.random.default_rng(41)
-    internet = SyntheticInternet(rng, icmp_block_fraction=0.0, alias_fraction=0.0)
+    internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     month = collect_month(internet, rng, tests_per_client=len(internet.servers))
     database = TopologyConstructor(annotations).build(month)

@@ -24,8 +24,8 @@ from repro.core.coordinator import (
 )
 from repro.experiments.scenarios import ScenarioConfig
 from repro.faults import FaultInjector, FaultProfile, FaultSite, RetryPolicy
+from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import TopologyConstructor
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
@@ -35,25 +35,28 @@ from repro.mlab.verification import TopologyVerifier
 DURATION = 8.0
 
 
-@pytest.fixture(scope="module")
-def records():
-    """One month of traceroutes over a frozen synthetic internet."""
+def month_of_traceroutes():
+    """One month of traceroutes over a synthetic internet."""
     rng = np.random.default_rng(41)
-    internet = SyntheticInternet(rng, icmp_block_fraction=0.0, alias_fraction=0.0)
+    internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     month = collect_month(internet, rng, tests_per_client=len(internet.servers))
     return internet, annotations, month
 
 
-def fresh_coordinator(records, profile_spec, seed=1, policy=None, route_change=0.0):
+@pytest.fixture(scope="module")
+def records():
+    """The month over an internet whose routes stay frozen."""
+    return month_of_traceroutes()
+
+
+def fresh_coordinator(records, profile_spec, seed=1, policy=None):
     """A coordinator over a *fresh* database (runs mutate the database)."""
     internet, annotations, month = records
     database = TopologyConstructor(annotations).build(month)
     rng = np.random.default_rng(seed)
     scenario = ScenarioConfig(app="zoom", limiter="common", duration=DURATION)
-    verifier = TopologyVerifier(
-        internet, annotations, rng, route_change_probability=route_change
-    )
+    verifier = TopologyVerifier(internet, annotations, rng)
     tdiff = np.random.default_rng(9).normal(0.0, 0.08, 80)
     injector = FaultInjector(FaultProfile.parse(profile_spec), seed=seed)
     coordinator = WeHeYCoordinator(
@@ -76,6 +79,25 @@ def target_client(records, min_entries=2):
         if len(database.lookup(client.ip, client.asn)) >= min_entries:
             return client
     pytest.fail("fixture internet has no client with enough topologies")
+
+
+def fail_one_route(internet, database):
+    """Fail one client-ISP provider link and let routing converge.
+
+    Returns a client whose first candidate entry the failure made
+    stale -- the pair the coordinator tries first.
+    """
+    events = generate_schedule(
+        internet.graph, 1, n_failures=1, n_flips=0, targets=internet.isp_asns
+    )
+    internet.attach_dynamics(RouteDynamics(events))
+    down = events[0]
+    internet.advance_to(down.time + down.convergence_s + 1.0)
+    for entry, name in TopologyOracle(internet).stale_entries(database):
+        client = internet.find_client(name)
+        if database.lookup(client.ip, client.asn)[0] == entry:
+            return client
+    pytest.fail("the failure left no client's first entry stale")
 
 
 #: fault spec (always fires) -> expected terminal status.
@@ -227,14 +249,16 @@ class TestRetryRecovery:
 
 
 class TestDiscardPath:
-    def test_route_churn_discards_and_invalidates(self, records):
+    def test_route_churn_discards_and_invalidates(self):
         """Section 3.4 step 4 stays terminal: measurements discarded,
         entry invalidated through the database API."""
-        client = target_client(records)
+        # A private internet: route dynamics mutate it.
+        churned = month_of_traceroutes()
         coordinator, database = fresh_coordinator(
-            records, "none", route_change=1.0,
+            churned, "none",
             policy=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
         )
+        client = fail_one_route(churned[0], database)
         before = len(database.lookup(client.ip, client.asn))
         report = coordinator.run_test(client.name, app="zoom")
         assert report.status is CoordinationStatus.DISCARDED_TOPOLOGY_CHANGED

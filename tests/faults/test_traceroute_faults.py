@@ -16,17 +16,14 @@ from repro.faults import (
     FaultSite,
     TracerouteTimeoutError,
 )
-from repro.mlab.internet import SyntheticInternet
+from repro.inet import PolicyInternet
 from repro.mlab.traceroute import run_traceroute
 
 
 @pytest.fixture(scope="module")
 def internet():
     rng = np.random.default_rng(17)
-    return SyntheticInternet(
-        rng, n_isps=3, clients_per_isp=2,
-        icmp_block_fraction=0.0, alias_fraction=0.0,
-    )
+    return PolicyInternet(seed=0, rng=rng, n_client_isps=3, clients_per_isp=2)
 
 
 class TestTracerouteFaults:

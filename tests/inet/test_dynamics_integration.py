@@ -127,8 +127,7 @@ class TestCoordinatorPreflight:
         coordinator = WeHeYCoordinator(
             internet,
             database,
-            TopologyVerifier(internet, annotations, rng,
-                             route_change_probability=0.0),
+            TopologyVerifier(internet, annotations, rng),
             ScenarioConfig(app="zoom", limiter="common", duration=4.0,
                            fidelity="hybrid"),
             rng,

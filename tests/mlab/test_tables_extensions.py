@@ -4,8 +4,8 @@ table factories, egress semantics, and dict-backed internet lookups."""
 import numpy as np
 import pytest
 
+from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.tables import (
     TRACEROUTE_COLUMNS,
     Table,
@@ -18,7 +18,10 @@ from repro.mlab.traceroute import run_traceroute
 
 @pytest.fixture
 def internet():
-    return SyntheticInternet(np.random.default_rng(9))
+    return PolicyInternet(
+        seed=0, rng=np.random.default_rng(9),
+        icmp_block_fraction=0.25, alias_fraction=0.15,
+    )
 
 
 class TestTableExtensions:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import (
     TopologyConstructor,
     prefix_of,
@@ -17,9 +17,7 @@ def clean_internet():
     """No ICMP blocking, no aliasing: every traceroute is usable."""
     rng = np.random.default_rng(1)
     return (
-        SyntheticInternet(
-            rng, icmp_block_fraction=0.0, alias_fraction=0.0
-        ),
+        PolicyInternet(seed=0, rng=rng),
         rng,
     )
 
@@ -28,8 +26,8 @@ def clean_internet():
 def messy_internet():
     rng = np.random.default_rng(2)
     return (
-        SyntheticInternet(
-            rng, icmp_block_fraction=0.5, alias_fraction=0.6
+        PolicyInternet(
+            seed=0, rng=rng, icmp_block_fraction=0.5, alias_fraction=0.6
         ),
         rng,
     )
@@ -64,7 +62,7 @@ class TestFilters:
 
     def test_icmp_blocking_fails_completeness(self):
         rng = np.random.default_rng(3)
-        internet = SyntheticInternet(rng, icmp_block_fraction=1.0, alias_fraction=0.0)
+        internet = PolicyInternet(seed=0, rng=rng, icmp_block_fraction=1.0)
         tc = TopologyConstructor(AnnotationDatabase(internet))
         record = run_traceroute(
             internet, internet.servers[0], internet.clients[0], rng
@@ -74,7 +72,7 @@ class TestFilters:
 
     def test_aliasing_breaks_link_consistency_sometimes(self):
         rng = np.random.default_rng(4)
-        internet = SyntheticInternet(rng, icmp_block_fraction=0.0, alias_fraction=1.0)
+        internet = PolicyInternet(seed=0, rng=rng, alias_fraction=1.0)
         tc = TopologyConstructor(AnnotationDatabase(internet))
         consistent = [
             tc.links_consistent(

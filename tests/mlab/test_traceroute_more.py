@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.mlab.internet import SyntheticInternet
+from repro.inet import PolicyInternet
 from repro.mlab.traceroute import collect_month, run_traceroute
 
 
 @pytest.fixture
 def clean():
     rng = np.random.default_rng(14)
-    return SyntheticInternet(rng, icmp_block_fraction=0.0, alias_fraction=0.0), rng
+    return PolicyInternet(seed=0, rng=rng), rng
 
 
 class TestRecordStructure:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.topology_construction import TopologyConstructor
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
@@ -13,9 +13,7 @@ from repro.mlab.verification import TopologyVerifier
 @pytest.fixture
 def setup():
     rng = np.random.default_rng(33)
-    internet = SyntheticInternet(
-        rng, icmp_block_fraction=0.0, alias_fraction=0.0
-    )
+    internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
     database = TopologyConstructor(annotations).build(records)
@@ -23,40 +21,41 @@ def setup():
     for client in internet.clients:
         entries = database.lookup(client.ip, client.asn)
         if entries:
-            return internet, annotations, rng, client, entries[0]
+            return internet, annotations, rng, client, entries[0], database
     pytest.fail("no suitable topology in the fixture internet")
 
 
 class TestTopologyVerifier:
     def test_stable_routes_verify(self, setup):
-        internet, annotations, rng, client, entry = setup
+        internet, annotations, rng, client, entry, _database = setup
         verifier = TopologyVerifier(internet, annotations, rng)
         assert verifier.verify(entry, client.name)
 
     def test_verification_is_repeatable(self, setup):
-        internet, annotations, rng, client, entry = setup
+        internet, annotations, rng, client, entry, _database = setup
         verifier = TopologyVerifier(internet, annotations, rng)
         assert all(verifier.verify(entry, client.name) for _ in range(3))
 
     def test_route_changes_eventually_invalidate(self, setup):
-        internet, annotations, rng, client, entry = setup
-        verifier = TopologyVerifier(
-            internet, annotations, rng, route_change_probability=1.0
+        internet, annotations, rng, _client, _entry, database = setup
+        verifier = TopologyVerifier(internet, annotations, rng)
+        # One client-ISP provider link fails and routing converges
+        # around it: every entry the oracle now calls stale must fail
+        # verification (the pair converges elsewhere or not at all).
+        events = generate_schedule(
+            internet.graph, 1, n_failures=1, n_flips=0, targets=internet.isp_asns
         )
-        # With constant churn, some verification within a few tries
-        # must fail (the pair may converge elsewhere or share nothing).
-        outcomes = [verifier.verify(entry, client.name) for _ in range(10)]
-        assert not all(outcomes)
+        internet.attach_dynamics(RouteDynamics(events))
+        down = events[0]
+        internet.advance_to(down.time + down.convergence_s + 1.0)
+        stale = TopologyOracle(internet).stale_entries(database)
+        assert stale
+        assert not any(verifier.verify(entry, name) for entry, name in stale)
 
     def test_unknown_server_fails_closed(self, setup):
-        internet, annotations, rng, client, entry = setup
+        internet, annotations, rng, client, entry, _database = setup
         from dataclasses import replace
 
         broken = replace(entry, server_pair=("ghost-1", "ghost-2"))
         verifier = TopologyVerifier(internet, annotations, rng)
         assert not verifier.verify(broken, client.name)
-
-    def test_rejects_bad_probability(self, setup):
-        internet, annotations, rng, _, _ = setup
-        with pytest.raises(ValueError):
-            TopologyVerifier(internet, annotations, rng, route_change_probability=2.0)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.internet import SyntheticInternet
 from repro.mlab.tables import annotation_table, traceroute_table
 from repro.mlab.topology_construction import (
     TopologyConstructor,
@@ -26,7 +26,9 @@ def _records(internet, rng):
 @pytest.fixture
 def stack():
     rng = np.random.default_rng(9)
-    internet = SyntheticInternet(rng)
+    internet = PolicyInternet(
+        seed=0, rng=rng, icmp_block_fraction=0.25, alias_fraction=0.15
+    )
     return internet, AnnotationDatabase(internet), _records(internet, rng)
 
 

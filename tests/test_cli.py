@@ -40,11 +40,37 @@ class TestParser:
 
 class TestCommands:
     def test_topology_command_runs(self, capsys):
-        code = main(["topology", "--isps", "4", "--clients", "3", "--seed", "1"])
+        argv = ["topology", "--isps", "4", "--clients", "3", "--seed", "1"]
+        code = main(argv)
         assert code == 0
         out = capsys.readouterr().out
+        assert "AS graph              : 200 ASes" in out
         assert "complete fraction" in out
         assert "topology-db entries" in out
+        assert "oracle precision" in out
+        # One internet model: the default is the 200-AS policy graph.
+        assert main(argv + ["--ases", "200"]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--ases", "30"], "graph has 2 content stubs; need 4 sites"),
+            (["--ases", "200", "--isps", "500"], "need 500 client ISPs"),
+            (["--ases", "0"], "n_ases too small"),
+            (["--isps", "0"], "n_client_isps must be >= 1"),
+            (["--clients", "-1"], "clients_per_isp must be in [1, 155]"),
+            (["--clients", "156"], "clients_per_isp must be in [1, 155]"),
+            (["--dynamics-events", "-1"], "event counts must be >= 0"),
+        ],
+    )
+    def test_topology_bad_sizes_are_usage_errors(self, capsys, argv, message):
+        code = main(["topology"] + argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_topology_command_policy_internet(self, capsys):
         code = main(["topology", "--ases", "200", "--isps", "4",

@@ -20,9 +20,9 @@ PUBLIC_MODULES = [
     "repro.experiments.runner",
     "repro.experiments.scenarios",
     "repro.experiments.wild",
+    "repro.inet.internet",
     "repro.mlab",
     "repro.mlab.annotations",
-    "repro.mlab.internet",
     "repro.mlab.tables",
     "repro.mlab.topology_construction",
     "repro.mlab.traceroute",
