@@ -22,12 +22,17 @@ this.
 """
 
 from bisect import bisect_right as _bisect_right
+from heapq import heappush as _heappush
 
 import numpy as np
 
 from repro.netsim.packet import DATA, Packet
 from repro.netsim.path import DirectPath, Path
 from repro.netsim.tcp import TcpReceiver, TcpSender
+
+#: ``Generator.random()``'s scale on a 53-bit draw: for ``PCG64`` it is
+#: exactly ``(next_uint64 >> 11) * 2**-53``.
+_DOUBLE_UNIT = 2.0**-53
 
 #: CAIDA-like packet-size mixture (bytes, probability).
 PACKET_SIZE_MIX = ((1500, 0.55), (576, 0.25), (72, 0.20))
@@ -101,6 +106,16 @@ class ModulatedPoissonBackground:
         self.stop_at = stop_at
         self.flow_id = flow_id
         self.packets_sent = 0
+        # numpy's own definitions, at less per-call overhead:
+        # ``exponential(s)`` is ``s * standard_exponential()``, and on a
+        # PCG64 stream ``random()`` is the top 53 bits of ``random_raw()``
+        # scaled.  Other bit generators build doubles differently and
+        # keep ``random()``.
+        self._std_exp = rng.standard_exponential
+        bit_generator = rng.bit_generator
+        self._raw = (
+            bit_generator.random_raw if type(bit_generator) is np.random.PCG64 else None
+        )
 
         sizes, probs = zip(*PACKET_SIZE_MIX)
         self._sizes = sizes
@@ -151,16 +166,30 @@ class ModulatedPoissonBackground:
         now = sim._now
         if self.stop_at is not None and now >= self.stop_at:
             return
-        rng = self.rng
         rate_pps = self._cached_rate_bps / (8.0 * self._mean_size)
-        gap = rng.exponential(1.0 / rate_pps)
-        size = self._sizes[_bisect_right(self._size_cdf, rng.random())]
-        dscp = 1 if rng.random() < self.dscp1_fraction else 0
-        packet = Packet(self.flow_id, DATA, self._seq, size, dscp, now)
+        # The draw order (gap, size, dscp) is the stream's order.
+        gap = (1.0 / rate_pps) * self._std_exp()
+        raw = self._raw
+        if raw is not None:
+            u_size = (raw() >> 11) * _DOUBLE_UNIT
+            u_dscp = (raw() >> 11) * _DOUBLE_UNIT
+        else:
+            u_size = self.rng.random()
+            u_dscp = self.rng.random()
+        size = self._sizes[_bisect_right(self._size_cdf, u_size)]
+        packet = Packet(
+            self.flow_id, DATA, self._seq, size,
+            1 if u_dscp < self.dscp1_fraction else 0, now,
+        )
         self._seq += 1
         self.packets_sent += 1
-        self.path.inject(packet)
-        sim.schedule(gap, self._send_next)
+        # Path.inject and Simulator.schedule, inlined.
+        path = self.path
+        packet.path = path
+        path.links[0].send(packet)
+        seq = sim._counter
+        sim._counter = seq + 1
+        _heappush(sim._heap, (now + gap, seq, None, self._send_next, ()))
 
 
 class SteadyAppSource:

@@ -142,6 +142,9 @@ class FluidLoad:
 
     __slots__ = ()
 
+    #: Every poll integrates the load up to ``now``.
+    stateful_empty_poll = True
+
     def __init__(self, *args):
         super().__init__(*args)
         self._fluid_rates = {}  # source -> bits/s entering this queue

@@ -238,7 +238,7 @@ class MultipathLink:
 
         Forwarding is synchronous -- the member link does all queueing
         and scheduling -- so a 1-member bundle adds zero events and the
-        member's ``_transmit_done`` advances the packet past *this*
+        member's ``_try_transmit`` advances the packet past *this*
         hop's position in its path.
         """
         self.packets_offered += 1

@@ -31,8 +31,9 @@ class Packet:
         sent_at: time the packet left the sender (for RTT samples).
         is_retx: True when this is a TCP retransmission.
         path: the :class:`~repro.netsim.path.Path` being traversed.
-        hop: index on ``path`` of the link the packet is at or is
-            propagating to; ``len(path.links)`` on its way to the sink.
+        hop: index on ``path`` of the link the packet is queued at or,
+            once a link has started sending it, is on its way to;
+            ``len(path.links)`` on its way to the sink.
         enqueued_at: set by queues to measure queueing delay.
     """
 

@@ -2,10 +2,11 @@
 
 Routing in the experiments is static -- every flow knows its path up
 front (the paper's Figure-1 topologies are fixed for the duration of a
-test).  A packet carries its path and current hop; when a link has
-sent it, the link schedules its arrival at ``links[hop + 1]`` or, past
-the last link, at ``sink`` if the path has one
-(:meth:`repro.netsim.link.Link._transmit_done`).
+test).  A packet carries its path and current hop; when a link starts
+sending it, the link schedules its arrival, one serialization and one
+propagation delay later, at ``links[hop + 1]`` or, past the last link,
+at ``sink`` if the path has one
+(:meth:`repro.netsim.link.Link._try_transmit`).
 """
 
 from heapq import heappush as _heappush
@@ -17,7 +18,7 @@ class Path:
     ``sink`` is any object with a ``receive(packet)`` method (a TCP or
     UDP receiver, or a measurement tap), or None for traffic nobody
     receives (packet background): its packets leave the simulation
-    when the last link has sent them.
+    when the last link starts sending them.
     """
 
     __slots__ = ("links", "sink")

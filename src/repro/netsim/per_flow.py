@@ -79,6 +79,12 @@ class PerFlowQdisc(Qdisc):
         return len(self.fifo) + sum(len(tbf) for tbf in self._flows.values())
 
     @property
+    def stateful_empty_poll(self):
+        # Buckets are built on first use, so a bucket factory's kind is
+        # not known in advance: assume it polls statefully.
+        return self.bucket_factory is not None or self.fifo.stateful_empty_poll
+
+    @property
     def drops(self):
         return self.fifo.drops + sum(tbf.drops for tbf in self._flows.values())
 

@@ -10,6 +10,10 @@ contract, consumed by :class:`~repro.netsim.link.Link`:
   eligible (retry at ``t``); ``(None, None)`` means empty.
 - ``__len__`` -- number of queued packets.
 - ``backlog_bytes`` -- bytes currently queued.
+- ``stateful_empty_poll`` -- whether ``dequeue`` on an empty qdisc
+  changes its state.  The link polls at the end of a transmission only
+  when a packet waits behind it, unless this is True; a qdisc that
+  does not declare it is assumed to.
 
 plus the statistics the experiment harness reads (``drops``,
 ``drops_bytes``, ``enqueued``, ``mean_delay``).  Disciplines that
@@ -51,6 +55,13 @@ class Qdisc:
     """
 
     __slots__ = ()
+
+    #: True when ``dequeue`` on an empty qdisc changes its state (CoDel
+    #: leaves its dropping state, the conditional shaper checks its
+    #: deadline, a fluid twin integrates its load): the link must then
+    #: poll at the end of every transmission, not only when a packet
+    #: waits.
+    stateful_empty_poll = False
 
     def enqueue(self, packet, now):
         """Accept or drop ``packet`` arriving at ``now``; True = accepted."""

@@ -9,6 +9,9 @@ protocol consumed by :class:`~repro.netsim.link.Link`:
   yet eligible (the link should retry at time ``t``), or ``(None, None)``
   when the discipline is empty.
 - ``__len__`` -- number of queued packets.
+- ``stateful_empty_poll`` -- True when ``dequeue`` on an empty
+  discipline changes its state; the link then polls at the end of every
+  transmission, otherwise only when a packet waits.
 
 Disciplines also keep drop and delay statistics used by the experiment
 harness.

@@ -207,6 +207,9 @@ class CoDelTokenBucket(TokenBucketFilter):
         "codel_drop_bytes",
     )
 
+    #: An empty poll ends the above-target interval and the dropping state.
+    stateful_empty_poll = True
+
     def __init__(self, rate_bps, burst_bytes, limit_bytes, target=0.005, interval=0.1):
         super().__init__(rate_bps, burst_bytes, limit_bytes)
         if target <= 0 or interval <= 0:
@@ -474,6 +477,9 @@ class TriggerRules:
     """
 
     __slots__ = ()
+
+    #: The trigger deadline is checked on every poll.
+    stateful_empty_poll = True
 
     TRIGGER_SLOTS = (
         "trigger_bytes",

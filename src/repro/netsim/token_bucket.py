@@ -42,6 +42,12 @@ class DualClassQdisc(Qdisc):
         return len(self.fifo) + len(self.tbf)
 
     @property
+    def stateful_empty_poll(self):
+        return getattr(self.fifo, "stateful_empty_poll", True) or getattr(
+            self.tbf, "stateful_empty_poll", True
+        )
+
+    @property
     def drops(self):
         return self.fifo.drops + self.tbf.drops
 

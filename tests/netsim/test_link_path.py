@@ -65,6 +65,23 @@ class TestLink:
         assert link.bytes_sent == 700
         assert link.packets_sent == 1
 
+        # A packet counts when its serialization starts.
+        sim = Simulator()
+        link = Link(sim, "l", 8e6, 0.0)
+        sink = Sink(sim)
+        path = Path([link], sink)
+        for seq in range(3):
+            path.inject(make_packet(size=1000, seq=seq))
+        # 1 ms per packet: the first has arrived, the second is still on
+        # the wire at ``until`` and counts whole, the third waits.
+        sim.run(until=0.0015)
+        assert len(sink.arrivals) == 1
+        assert (link.bytes_sent, link.packets_sent) == (2000, 2)
+        assert link.utilization(0.0015) == 1.0
+        sim.run()
+        assert (link.bytes_sent, link.packets_sent) == (3000, 3)
+        assert link.utilization(0.003) == pytest.approx(1.0)
+
     def test_utilization(self):
         sim = Simulator()
         link = Link(sim, "l", 8e6, 0.0)
