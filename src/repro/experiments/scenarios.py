@@ -14,6 +14,7 @@ is what the evaluation sweeps) match the paper.
 """
 
 from dataclasses import dataclass, replace
+from math import inf
 
 from repro.netsim.topology import validate_device_knobs
 from repro.wehe.apps import APP_SPECS
@@ -85,12 +86,15 @@ class ScenarioConfig:
         # The device knobs share their names, and their one validator,
         # with the topology the runner builds from this config.
         validate_device_knobs(self)
+        # Each comparison fails on NaN, so a NaN knob is rejected here
+        # instead of poisoning a rate or a DRR cost downstream.
+        for name in ("duration", "input_rate_factor", "queue_factor", "congestion_factor"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.input_rate_factor <= 1.0 and self.limiter is not None:
             raise ValueError("input_rate_factor must exceed 1 for throttling to bite")
         if not 0.0 <= self.background_share <= 1.0:
             raise ValueError("background_share must be in [0, 1]")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         if self.shaper is not None:
             object.__setattr__(
                 self,

@@ -16,6 +16,7 @@ mechanism parameters passed through ``shaper_params``.
 """
 
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.netsim.link import Link
 from repro.netsim.multipath import MultipathLink, shaped_member_subset
@@ -47,6 +48,8 @@ def validate_device_knobs(config, common_delay_s=COMMON_DELAY_S):
     for name, rtt in (("rtt_1", config.rtt_1), ("rtt_2", config.rtt_2)):
         if rtt <= 2 * common_delay_s:
             raise ValueError(f"{name}={rtt} too small for common delay")
+        if not rtt < inf:  # also fails on NaN
+            raise ValueError(f"{name}={rtt} must be finite")
     if config.shaper is not None:
         if config.limiter is None:
             raise ValueError("shaper requires a limiter placement")

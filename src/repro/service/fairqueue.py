@@ -15,6 +15,7 @@ dispatch sequences from identical arrival traces.
 """
 
 from collections import deque
+from math import inf
 
 
 class DeficitRoundRobin:
@@ -26,8 +27,10 @@ class DeficitRoundRobin:
     """
 
     def __init__(self, quantum=8.0):
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
+        # NaN fails both guards: a NaN quantum or cost would leave pop()
+        # waiting forever for ``deficit >= cost``.
+        if not 0.0 < quantum < inf:
+            raise ValueError("quantum must be finite and positive")
         self.quantum = float(quantum)
         self._queues = {}  # tenant -> deque[(cost, item)]
         self._active = deque()  # tenants with pending work, service order
@@ -46,8 +49,8 @@ class DeficitRoundRobin:
         return [t for t in self._active if self._queues.get(t)]
 
     def push(self, tenant, item, cost=1.0):
-        if cost <= 0:
-            raise ValueError("cost must be positive")
+        if not 0.0 < cost < inf:
+            raise ValueError("cost must be finite and positive")
         queue = self._queues.get(tenant)
         if queue is None:
             queue = deque()

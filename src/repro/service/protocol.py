@@ -56,23 +56,25 @@ TERMINAL_STATUSES = (
     Status.FAILED,
 )
 
+#: The numeric ScenarioConfig fields a submission may set, with the
+#: types each takes.  ``bool`` is an ``int`` in Python but never a number
+#: on the wire, so it is refused for all.
+NUMERIC_KNOBS = {
+    "input_rate_factor": (int, float),
+    "queue_factor": (int, float),
+    "background_share": (int, float),
+    "duration": (int, float),
+    "rtt_1": (int, float),
+    "rtt_2": (int, float),
+    "congestion_factor": (int, float),
+    "seed": int,
+}
+
 #: ScenarioConfig fields a submission may set.  Everything else
 #: (background model, modulation, ...) is service-pinned so the cache
 #: key space stays small and submissions cannot smuggle in arbitrary
 #: work multipliers.
-ALLOWED_KNOBS = frozenset(
-    {
-        "limiter",
-        "input_rate_factor",
-        "queue_factor",
-        "background_share",
-        "duration",
-        "rtt_1",
-        "rtt_2",
-        "congestion_factor",
-        "seed",
-    }
-)
+ALLOWED_KNOBS = frozenset({"limiter", *NUMERIC_KNOBS})
 
 #: Top-level fields a submission may carry.
 SUBMISSION_FIELDS = frozenset(
@@ -176,9 +178,11 @@ def parse_submission(raw):
     if bad:
         raise MalformedSubmission(f"unknown knobs: {sorted(bad)}")
     knobs = dict(knobs)
-    if "seed" in knobs:
-        if not isinstance(knobs["seed"], int) or isinstance(knobs["seed"], bool):
-            raise MalformedSubmission("seed must be an integer")
+    for name, value in knobs.items():
+        kinds = NUMERIC_KNOBS.get(name)
+        if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            kind = "an integer" if kinds is int else "a number"
+            raise MalformedSubmission(f"{name} must be {kind}")
     submission = Submission(
         tenant=tenant,
         client=client,

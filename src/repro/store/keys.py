@@ -29,7 +29,7 @@ from repro.store.serialize import (
     _PLAIN_SCALARS,
     STORE_SCHEMA_VERSION,
     canonical_json,
-    config_to_dict,
+    config_json,
     fields_to_dict,
     plain,
     plain_json,
@@ -87,8 +87,8 @@ def _digest(payload):
     """SHA-256 of ``payload``'s canonical JSON.
 
     ``payload`` must already be plain: each key builder coerces every
-    caller-supplied value (``plain``, ``int``, ``bool``,
-    :func:`config_to_dict`) so no second :func:`plain` pass runs here.
+    caller-supplied value (``plain``, ``int``, ``bool``) so no second
+    :func:`plain` pass runs here.
     """
     return hashlib.sha256(plain_json(payload).encode()).hexdigest()
 
@@ -113,13 +113,14 @@ def detection_cache_key(
     "detectors": ..., ..., "schema_version": ...}``.  ``"config"`` sorts
     first, so that JSON is the config's encoding followed by a tail that
     depends on the coerced runner knobs alone.  Only the config is
-    encoded per call; the tail is memoized on the knob values *and their
-    types*: ``1``, ``1.0`` and ``True`` compare and hash alike but encode
-    as ``1``, ``1.0`` and ``true``, so an entry keyed on values alone
-    would hand one the other's tail.  A knob of any other type than an
+    encoded per call, by :func:`~repro.store.serialize.config_json`; the
+    tail is memoized on the knob values *and their types*: ``1``, ``1.0``
+    and ``True`` compare and hash alike but encode as ``1``, ``1.0`` and
+    ``true``, so an entry keyed on values alone would hand one the
+    other's tail.  A knob of any other type than an
     exact JSON scalar (a ``str`` subclass, a list) skips the memo.
     """
-    head = '{"config": ' + plain_json(config_to_dict(config))
+    head = '{"config": ' + config_json(config)
     knobs = (
         fault_profile_id(fault_profile),
         plain(fingerprint or code_fingerprint()),

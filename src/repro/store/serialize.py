@@ -9,10 +9,22 @@ Canonical form: plain-JSON dicts (numpy scalars unwrapped, tuples
 listified) dumped with ``sort_keys=True``.  JSON floats round-trip
 exactly (``repr`` shortest-float encoding), which is what lets a cached
 record compare byte-identical to a freshly computed one.
+
+A :class:`ScenarioConfig`, which every cache key encodes, has its
+encoding compiled once from ``dataclasses.fields``: the field names in
+sorted order, each default's pre-encoded ``"name": value`` fragment, and
+one table per on/off state of the optional field groups
+(:data:`OPTIONAL_GROUPS`, which :func:`config_to_dict` reads too).
+:func:`config_json` reuses a fragment only where the field's value *is*
+the class default -- identity, never equality, since ``8`` and ``8.0``
+are equal but encode differently -- and encodes every other value as
+:func:`canonical_json` would.
 """
 
 import dataclasses
+import itertools
 import json
+import operator
 from functools import lru_cache
 from json import encoder as _json_encoder
 
@@ -130,26 +142,82 @@ def fields_to_dict(obj, skip=()):
     return data
 
 
+#: Optional axes added to :class:`ScenarioConfig` after the store
+#: shipped: each group of fields is left out of a config's encoding
+#: while its first field, the switch, is off after :func:`plain`, so
+#: every record -- and every cache key over it -- made before the axis
+#: existed keeps its bytes.
+OPTIONAL_GROUPS = (
+    (("shaper", "shaper_params"), lambda shaper: shaper is None),
+    (("multipath", "flowlet_gap_s", "multipath_shaped"), operator.not_),
+)
+
+
 def config_to_dict(config):
     """A :class:`ScenarioConfig` as a plain-JSON dict.
 
-    The shaper knobs are omitted at their defaults (``shaper=None``):
-    the mechanism axis was added after the store shipped, and omission
-    keeps every pre-shaper record -- and, downstream, every cache key
-    computed over this dict -- byte-identical for default (TBF)
-    scenarios.  The multipath knobs follow the same rule (omitted when
-    ``multipath`` is 0/absent): pre-multipath keys and record streams
-    stay byte-identical.
+    The shaper knobs are omitted at their defaults (``shaper=None``) and
+    the multipath knobs while ``multipath`` is 0/absent
+    (:data:`OPTIONAL_GROUPS`): pre-shaper and pre-multipath records and
+    keys stay byte-identical.
     """
     data = fields_to_dict(config)
-    if data.get("shaper") is None:
-        data.pop("shaper", None)
-        data.pop("shaper_params", None)
-    if not data.get("multipath"):
-        data.pop("multipath", None)
-        data.pop("flowlet_gap_s", None)
-        data.pop("multipath_shaped", None)
+    for group, off in OPTIONAL_GROUPS:
+        if off(data.get(group[0])):
+            for name in group:
+                data.pop(name, None)
     return data
+
+
+def _compile_config_tables():
+    """``{switches: fields}`` for :func:`config_json`.
+
+    ``switches`` holds one bool per :data:`OPTIONAL_GROUPS` entry (True:
+    the group is encoded); ``fields`` lists the encoded fields in sorted
+    order as ``(name, default, default's fragment, prefix)``, where the
+    prefix is the encoded ``"name": ``.
+    """
+    fields = sorted(dataclasses.fields(ScenarioConfig), key=operator.attrgetter("name"))
+    tables = {}
+    for switches in itertools.product((False, True), repeat=len(OPTIONAL_GROUPS)):
+        omitted = {
+            name
+            for (group, _off), on in zip(OPTIONAL_GROUPS, switches)
+            if not on
+            for name in group
+        }
+        table = []
+        for field in fields:
+            if field.name in omitted:
+                continue
+            prefix = _encode(field.name) + ": "
+            fragment = prefix + _encode(plain(field.default))
+            table.append((field.name, field.default, fragment, prefix))
+        tables[switches] = tuple(table)
+    return tables
+
+
+_CONFIG_TABLES = _compile_config_tables()
+
+
+def config_json(config):
+    """``plain_json(config_to_dict(config))``, from the compiled tables.
+
+    A field whose value is the class default object reuses the default's
+    fragment; every other value is encoded.  Any type other than exactly
+    :class:`ScenarioConfig` (a subclass may add fields) takes
+    :func:`config_to_dict`.
+    """
+    if type(config) is not ScenarioConfig:
+        return plain_json(config_to_dict(config))
+    switches = tuple(
+        not off(plain(getattr(config, group[0]))) for group, off in OPTIONAL_GROUPS
+    )
+    parts = []
+    for name, default, fragment, prefix in _CONFIG_TABLES[switches]:
+        value = getattr(config, name)
+        parts.append(fragment if value is default else prefix + _encode(plain(value)))
+    return "{" + ", ".join(parts) + "}"
 
 
 def config_from_dict(data):

@@ -58,6 +58,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(input_rate_factor=0.9)
 
+    @pytest.mark.parametrize(
+        "name", ["duration", "input_rate_factor", "queue_factor", "congestion_factor"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0, -1.0])
+    def test_rejects_non_finite_or_non_positive_knobs(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["rtt_1", "rtt_2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0, -1.0])
+    def test_rejects_non_finite_rtts(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            TopologyConfig(**{name: value})
+
     @pytest.mark.parametrize("knobs", [
         {"shaper": "red", "fidelity": "hybrid"},
         {"limiter": "perflow", "shaper": "codel", "fidelity": "hybrid"},

@@ -14,14 +14,18 @@ from repro.claims import service
 from repro.claims.__main__ import main as claims_main
 from repro.faults.chaos import ServiceChaosProfile
 from repro.loadgen.arrivals import ArrivalProcess, TenantLoad, generate_trace
+from repro.loadgen.driver import VirtualService
 from repro.loadgen.scenarios import (
+    MEAN_SERVICE_S,
     SCENARIOS,
     build_scenario,
     capacity_rps,
     run_scenario,
     service_config,
 )
-from repro.service.protocol import TERMINAL_STATUSES, parse_submission
+from repro.service.core import ServiceCore
+from repro.service.engine import SyntheticEngine
+from repro.service.protocol import TERMINAL_STATUSES, Status, parse_submission
 
 DURATION_S = 30.0
 
@@ -126,6 +130,22 @@ class TestTerminationInvariant:
         result.check_one_terminal_response_each()
         # Malformed injections surface as FAILED, not as lost requests.
         assert summary["responses"].get("FAILED", 0) > 0
+
+
+    def test_nan_frame_fails_and_the_run_terminates(self):
+        # A NaN duration once reached the fair queue as a cost and made
+        # next_batch() spin forever; it must now fail at parse.
+        nan_frame = json.loads('{"client": "c", "knobs": {"duration": NaN}}')
+        good = {"client": "c", "id": "good", "knobs": {"duration": 8.0}}
+        core = ServiceCore(service_config())
+        engine = SyntheticEngine(mean_service_s=MEAN_SERVICE_S, seed=0)
+        result = VirtualService(core, engine).run([(0.0, nan_frame), (0.5, good)])
+        assert result.check_one_terminal_response_each() == 2
+        statuses = {response.id: response for _t, response, _d in result.completions}
+        failed = [r for rid, r in statuses.items() if rid != "good"]
+        assert [r.status for r in failed] == [Status.FAILED]
+        assert failed[0].reason.startswith("malformed submission: ")
+        assert statuses["good"].status == Status.VERDICT
 
 
 def test_service_claim_holds(service_claim):

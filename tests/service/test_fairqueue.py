@@ -93,5 +93,16 @@ class TestDeficitRoundRobin:
         with pytest.raises(ValueError):
             DeficitRoundRobin().push("t", "item", cost=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -1])
+    def test_non_finite_or_non_positive_cost_and_quantum_rejected(self, bad):
+        # A NaN cost or quantum would leave pop() waiting forever for
+        # ``deficit >= cost``; nothing reaches the queue.
+        drr = DeficitRoundRobin()
+        with pytest.raises(ValueError):
+            drr.push("t", "item", cost=bad)
+        assert len(drr) == 0 and drr.pop() is None
+        with pytest.raises(ValueError):
+            DeficitRoundRobin(quantum=bad)
+
     def test_pop_empty_returns_none(self):
         assert DeficitRoundRobin().pop() is None

@@ -56,11 +56,27 @@ class TestParseSubmission:
         ({"knobs": {"duration": 1e6}}, "cap"),
         ({"extra_field": 1}, "unknown fields"),
         ({"knobs": {"rtt_1": 0.003}}, "invalid scenario"),
+        ({"knobs": {"duration": True}}, "duration must be a number"),
+        ({"knobs": {"rtt_2": False}}, "rtt_2 must be a number"),
+        ({"knobs": {"queue_factor": "0.5"}}, "queue_factor must be a number"),
+        ({"knobs": {"seed": True}}, "seed must be an integer"),
+        ({"knobs": {"duration": float("nan")}}, "duration must be finite"),
+        ({"knobs": {"congestion_factor": float("inf")}}, "congestion_factor"),
+        ({"knobs": {"queue_factor": 0}}, "queue_factor"),
+        ({"knobs": {"rtt_1": float("nan")}}, "rtt_1"),
     ])
     def test_rejections_carry_structured_reasons(self, mutation, fragment):
         with pytest.raises(MalformedSubmission) as excinfo:
             parse_submission(valid_raw(**mutation))
         assert fragment in excinfo.value.reason
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_frame_rejected(self, literal):
+        # json.loads accepts these literals; the knob must not get past
+        # the parse into the fair queue as a cost.
+        line = '{"client": "c", "knobs": {"duration": %s}}' % literal
+        with pytest.raises(MalformedSubmission):
+            parse_submission(decode_line(line))
 
     def test_non_dict_rejected(self):
         with pytest.raises(MalformedSubmission):

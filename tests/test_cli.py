@@ -138,6 +138,12 @@ class TestShaperArguments:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["localize"], ["sweep", "--seeds", "1"]])
+    def test_nan_duration_is_a_usage_error(self, capsys, command):
+        code = main(command + ["--app", "zoom", "--duration", "nan"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duration must be finite and positive\n"
+
     def test_unknown_shaper_is_a_usage_error(self, capsys):
         code = main(
             ["sweep", "--app", "zoom", "--seeds", "1", "--duration", "4",
