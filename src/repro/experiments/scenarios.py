@@ -88,13 +88,27 @@ class ScenarioConfig:
         validate_device_knobs(self)
         # Each comparison fails on NaN, so a NaN knob is rejected here
         # instead of poisoning a rate or a DRR cost downstream.
-        for name in ("duration", "input_rate_factor", "queue_factor", "congestion_factor"):
+        for name in (
+            "duration",
+            "input_rate_factor",
+            "queue_factor",
+            "congestion_factor",
+            "background_rate_bps",
+        ):
             if not 0.0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be finite and positive")
         if self.input_rate_factor <= 1.0 and self.limiter is not None:
             raise ValueError("input_rate_factor must exceed 1 for throttling to bite")
         if not 0.0 <= self.background_share <= 1.0:
             raise ValueError("background_share must be in [0, 1]")
+        if not (self.tcp_background_flows >= 0 and self.tcp_background_flows % 1 == 0):
+            raise ValueError("tcp_background_flows must be a non-negative integer")
+        # The loss-measurement noise knobs, in the domain
+        # RetransmissionLossEstimator enforces when the runner builds it.
+        if not 0.0 <= self.overcount_rate < 1.0:
+            raise ValueError("overcount_rate must be in [0, 1)")
+        if not 0.0 <= self.registration_jitter < inf:
+            raise ValueError("registration_jitter must be finite and non-negative")
         if self.shaper is not None:
             object.__setattr__(
                 self,

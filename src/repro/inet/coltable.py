@@ -31,13 +31,22 @@ courtesy of the stable sort), so topology construction produces the
 same database from either backend -- ``tests/inet`` asserts it, and
 the ``topology`` claim of ``repro.claims`` gates the speedup.
 
-Appends go to plain python lists and are materialized into arrays
-lazily on first read.  Columns that defeat the native dtypes (mixed
-types, nested values) fall back to object arrays with python-loop
-semantics, so correctness never depends on dtype luck.
+Appends arrive in chunks of :data:`CHUNK_ROWS` rows, each schema-checked
+in one C-level pass, and go to one buffer per column.  A string column
+is dictionary-encoded as its rows arrive -- a first-seen code per row,
+only the distinct strings kept alive -- and its buffer becomes the
+sorted encoding on first read.  Columns that defeat the native dtypes
+(mixed types, nested values) fall back to object arrays with
+python-loop semantics, so correctness never depends on dtype luck.
 """
 
+from itertools import islice, repeat
+from operator import eq, itemgetter
+
 import numpy as np
+
+#: Rows an ``extend`` takes from its input, schema-checks and appends at a time.
+CHUNK_ROWS = 4096
 
 
 class DictColumn:
@@ -194,6 +203,127 @@ def _concat(a, b):
     return _as_column(np.concatenate([da, db]))
 
 
+def schema_error(name, colset, keys):
+    """The error both backends raise for a row keyed by ``keys``."""
+    return ValueError(
+        f"row does not match schema of {name!r}: "
+        f"missing={sorted(colset - keys)} extra={sorted(keys - colset)}"
+    )
+
+
+def _matching_prefix(rows, colset):
+    """How many leading ``rows`` are keyed by exactly ``colset``."""
+    try:
+        if all(map(eq, map(dict.keys, rows), repeat(colset))):
+            return len(rows)
+    except TypeError:  # a mapping that is not a dict: check row by row
+        pass
+    return next(
+        (i for i, row in enumerate(rows) if row.keys() != colset), len(rows)
+    )
+
+
+def schema_chunks(rows, name, colset):
+    """``rows`` in lists of up to :data:`CHUNK_ROWS`, each row keyed by
+    exactly ``colset``.
+
+    A failure keeps every row ahead of it: a row that does not match the
+    schema, or the input raising, ends the stream after the rows before
+    it have come out (``list.extend`` keeps what an iterator gave before
+    it raised).  Both backends' ``extend`` append each chunk whole.
+    """
+    rows = iter(rows)
+    while True:
+        chunk = []
+        failure = None
+        try:
+            chunk.extend(islice(rows, CHUNK_ROWS))
+        except BaseException as exc:
+            failure = exc
+        good = _matching_prefix(chunk, colset)
+        if good < len(chunk):
+            failure = schema_error(name, colset, chunk[good].keys())
+            del chunk[good:]
+        if chunk:
+            yield chunk
+        if failure is not None:
+            raise failure
+        if len(chunk) < CHUNK_ROWS:
+            return
+
+
+class _FirstSeen(dict):
+    """Codes of a string column's distinct values, in first-seen order.
+
+    Looking up a new value gives it the next code.  A value that is not
+    a plain ``str``, or ends in NUL (which numpy strips), is refused
+    with ``TypeError``, as an unhashable value is: sorting the distinct
+    keys would not give ``np.unique``'s encoding of it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if type(key) is not str or key.endswith("\x00"):
+            raise TypeError(f"{key!r} does not dictionary-encode")
+        code = self[key] = len(self)
+        return code
+
+
+class _Pending:
+    """One column's values appended since the last flush.
+
+    A column whose first value is a ``str`` encodes as it goes:
+    ``keys`` numbers its distinct strings and ``codes`` holds one code
+    per row, so only the distinct strings stay alive.  Any other column,
+    or one that meets a value ``keys`` refuses, holds its values in
+    ``raw``; :meth:`column` then takes :func:`_as_column`'s path.
+    """
+
+    __slots__ = ("keys", "codes", "raw")
+
+    def __init__(self):
+        self.keys = None
+        self.codes = None
+        self.raw = []
+
+    def __len__(self):
+        return len(self.raw) if self.keys is None else len(self.codes)
+
+    def extend(self, rows, column):
+        """Append ``row[column]`` of each row of the sequence ``rows``."""
+        if self.keys is None:
+            if self.raw or not rows or type(rows[0][column]) is not str:
+                self.raw.extend(map(itemgetter(column), rows))
+                return
+            self.keys, self.codes, self.raw = _FirstSeen(), [], None
+        codes = self.codes
+        start = len(codes)
+        try:
+            codes.extend(map(self.keys.__getitem__, map(itemgetter(column), rows)))
+        except TypeError:  # refused or unhashable: python values from here on
+            keys = list(self.keys)
+            self.raw = list(map(keys.__getitem__, codes))
+            self.raw.extend(map(itemgetter(column), rows[len(codes) - start:]))
+            self.keys = self.codes = None
+
+    def column(self):
+        """The values as a column, equal to ``_as_column`` of them."""
+        if self.keys is None:
+            return _as_column(self.raw)
+        ordered = sorted(self.keys)
+        rank = dict(zip(ordered, range(len(ordered))))
+        by_code = list(map(rank.__getitem__, self.keys))
+        # One pass straight into the final array: a gather through a
+        # temporary code array frees a block big enough to raise glibc's
+        # mmap threshold, and later column arrays then land in the brk
+        # heap, whose holes stay resident.
+        codes = np.fromiter(
+            map(by_code.__getitem__, self.codes), dtype=np.intp, count=len(self.codes)
+        )
+        return DictColumn(np.array(ordered), codes)
+
+
 class ColumnarTable:
     """An append-only columnar table, API-compatible with ``Table``."""
 
@@ -203,7 +333,7 @@ class ColumnarTable:
         self.name = name
         self.columns = tuple(columns)
         self._colset = frozenset(columns)
-        self._pending = {c: [] for c in self.columns}
+        self._pending = {c: _Pending() for c in self.columns}
         self._arrays = None
         self._n = 0
 
@@ -223,37 +353,22 @@ class ColumnarTable:
         return self._n
 
     def insert(self, **values):
-        if values.keys() == self._colset:
-            for column, value in values.items():
-                self._pending[column].append(value)
-            self._n += 1
-            return
-        missing = self._colset - values.keys()
-        extra = values.keys() - self._colset
-        raise ValueError(
-            f"row does not match schema of {self.name!r}: "
-            f"missing={sorted(missing)} extra={sorted(extra)}"
-        )
+        if values.keys() != self._colset:
+            raise schema_error(self.name, self._colset, values.keys())
+        self._append((values,))
 
     def extend(self, rows):
-        """Bulk append; every row must match the schema exactly."""
-        pending = self._pending
-        colset = self._colset
-        added = 0
-        try:
-            for row in rows:
-                if row.keys() != colset:
-                    missing = colset - row.keys()
-                    extra = row.keys() - colset
-                    raise ValueError(
-                        f"row does not match schema of {self.name!r}: "
-                        f"missing={sorted(missing)} extra={sorted(extra)}"
-                    )
-                for column, value in row.items():
-                    pending[column].append(value)
-                added += 1
-        finally:
-            self._n += added
+        """Bulk append; every row must match the schema exactly.
+
+        A failure keeps the rows ahead of it (see :func:`schema_chunks`).
+        """
+        for chunk in schema_chunks(rows, self.name, self._colset):
+            self._append(chunk)
+
+    def _append(self, rows):
+        for column, pending in self._pending.items():
+            pending.extend(rows, column)
+        self._n += len(rows)
 
     def __iter__(self):
         columns = self.columns
@@ -269,10 +384,11 @@ class ColumnarTable:
     def materialize(self):
         """Force pending appends into their columns.
 
-        Appends are buffered in python lists and materialized lazily on
-        first read; call this to take the encoding cost at ingestion
-        time (the row backend's ``materialize`` is a no-op, so callers
-        can invoke it unconditionally).
+        Appends are buffered per column (string columns already
+        numbered) and materialized lazily on first read; call this to
+        take the rest of the encoding cost at ingestion time (the row
+        backend's ``materialize`` is a no-op, so callers can invoke it
+        unconditionally).
         """
         self._flush()
 
@@ -292,15 +408,13 @@ class ColumnarTable:
 
     def _flush(self):
         if self._arrays is None:
+            self._arrays = {c: self._pending[c].column() for c in self.columns}
+        elif any(self._pending.values()):
             self._arrays = {
-                c: _as_column(self._pending[c]) for c in self.columns
-            }
-        elif any(self._pending[c] for c in self.columns):
-            self._arrays = {
-                c: _concat(self._arrays[c], _as_column(self._pending[c]))
+                c: _concat(self._arrays[c], self._pending[c].column())
                 for c in self.columns
             }
-        self._pending = {c: [] for c in self.columns}
+        self._pending = {c: _Pending() for c in self.columns}
 
     def _column(self, name):
         if name not in self._colset:

@@ -39,26 +39,20 @@ class Table:
         if values.keys() == self._colset:
             self._rows.append(values)
             return
-        missing = self._colset - values.keys()
-        extra = values.keys() - self._colset
-        raise ValueError(
-            f"row does not match schema of {self.name!r}: "
-            f"missing={sorted(missing)} extra={sorted(extra)}"
-        )
+        from repro.inet.coltable import schema_error
+
+        raise schema_error(self.name, self._colset, values.keys())
 
     def extend(self, rows):
-        """Bulk append; every row must match the schema exactly."""
-        append = self._rows.append
-        colset = self._colset
-        for row in rows:
-            if row.keys() != colset:
-                missing = colset - row.keys()
-                extra = row.keys() - colset
-                raise ValueError(
-                    f"row does not match schema of {self.name!r}: "
-                    f"missing={sorted(missing)} extra={sorted(extra)}"
-                )
-            append(dict(row))
+        """Bulk append; every row must match the schema exactly.
+
+        Rows are checked and copied a chunk at a time, as the columnar
+        backend appends them; a failure keeps the rows ahead of it.
+        """
+        from repro.inet.coltable import schema_chunks
+
+        for chunk in schema_chunks(rows, self.name, self._colset):
+            self._rows.extend(map(dict, chunk))
 
     def scan(self, predicate=None):
         """Yield rows (optionally filtered)."""

@@ -1,5 +1,6 @@
 """Scenario-configuration tests."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.scenarios import (
@@ -59,12 +60,55 @@ class TestScenarioConfig:
             ScenarioConfig(input_rate_factor=0.9)
 
     @pytest.mark.parametrize(
-        "name", ["duration", "input_rate_factor", "queue_factor", "congestion_factor"]
+        "name",
+        [
+            "duration",
+            "input_rate_factor",
+            "queue_factor",
+            "congestion_factor",
+            "background_rate_bps",
+        ],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0, -1.0])
     def test_rejects_non_finite_or_non_positive_knobs(self, name, value):
         with pytest.raises(ValueError, match=name):
             ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tcp_background_flows", -1),
+            ("tcp_background_flows", 2.5),
+            ("tcp_background_flows", float("nan")),
+            ("tcp_background_flows", float("inf")),
+            ("overcount_rate", -0.1),
+            ("overcount_rate", 1.0),
+            ("overcount_rate", float("nan")),
+            ("registration_jitter", -0.001),
+            ("registration_jitter", float("nan")),
+            ("registration_jitter", float("inf")),
+        ],
+    )
+    def test_rejects_out_of_domain_background_and_loss_knobs(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tcp_background_flows", 0),
+            ("tcp_background_flows", np.int64(2)),
+            ("tcp_background_flows", 2.0),
+            ("overcount_rate", -0.0),
+            ("overcount_rate", False),
+            ("overcount_rate", 0.99),
+            ("registration_jitter", -0.0),
+            ("registration_jitter", 0.001),
+            ("background_rate_bps", np.int64(20_000_000)),
+        ],
+    )
+    def test_accepts_in_domain_background_and_loss_knobs(self, name, value):
+        assert getattr(ScenarioConfig(**{name: value}), name) == value
 
     @pytest.mark.parametrize("name", ["rtt_1", "rtt_2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0, -1.0])

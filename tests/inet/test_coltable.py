@@ -1,11 +1,22 @@
 """Columnar backend: exact behavioral parity with the row ``Table``."""
 
+import re
+from types import MappingProxyType
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.inet.coltable import ColumnarTable, DictColumn, dictionary_codes
+from repro.inet import coltable
+from repro.inet.coltable import (
+    ColumnarTable,
+    DictColumn,
+    _as_column,
+    _concat,
+    dictionary_codes,
+)
 from repro.mlab.tables import Table, make_table
 
 
@@ -303,3 +314,147 @@ def test_join_matches_row_backend(left_keys, right_keys, how):
     assert _rows(row_l.join_table(row_r, on="k", how=how)) == _rows(
         col_l.join_table(col_r, on="k", how=how)
     )
+
+
+class TestIngestionContract:
+    """A failing ``extend`` keeps exactly the rows ahead of the failure,
+    on both backends, whichever chunk the failure falls in."""
+
+    @pytest.mark.parametrize("backend", ["row", "columnar"])
+    def test_failing_input_keeps_the_rows_it_gave(self, backend):
+        table = make_table("t", ("k", "v"), backend=backend)
+
+        def rows():
+            for i in range(4500):
+                yield {"k": f"k{i % 7}", "v": i}
+            raise RuntimeError("input failed")
+
+        with pytest.raises(RuntimeError, match="input failed"):
+            table.extend(rows())
+        assert len(table) == 4500
+        assert table.column("v") == list(range(4500))
+        assert table.column("k") == [f"k{i % 7}" for i in range(4500)]
+
+    @pytest.mark.parametrize("backend", ["row", "columnar"])
+    @pytest.mark.parametrize("bad_at", [0, 1, 4095, 4096, 4500])
+    def test_schema_mismatch_keeps_the_rows_before_it(self, backend, bad_at):
+        table = make_table("t", ("k", "v"), backend=backend)
+        rows = [{"k": f"k{i % 7}", "v": i} for i in range(5000)]
+        rows[bad_at] = {"k": "x", "w": 1}
+        message = "row does not match schema of 't': missing=['v'] extra=['w']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table.extend(rows)
+        assert len(table) == bad_at
+        assert table.column("v") == list(range(bad_at))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table.insert(k="x", w=1)
+        assert len(table) == bad_at
+
+    @pytest.mark.parametrize("backend", ["row", "columnar"])
+    def test_rows_may_be_any_mapping(self, backend):
+        table = make_table("t", ("k", "v"), backend=backend)
+        table.extend(MappingProxyType({"k": "a", "v": i}) for i in range(3))
+        table.extend([{"k": "b", "v": 3}, MappingProxyType({"k": "c", "v": 4})])
+        with pytest.raises(ValueError, match=re.escape("missing=['v'] extra=[]")):
+            table.extend([MappingProxyType({"k": "d", "v": 5}), MappingProxyType({"k": "e"})])
+        assert _rows(table) == [
+            {"k": k, "v": v} for v, k in enumerate(["a", "a", "a", "b", "c", "d"])
+        ]
+
+
+def assert_same_column(got, expected):
+    """Same column class, dtypes, values and codes; object columns equal
+    element by element."""
+    assert type(got) is type(expected)
+    if isinstance(expected, DictColumn):
+        assert got.values.dtype == expected.values.dtype
+        assert got.values.tolist() == expected.values.tolist()
+        assert got.codes.dtype == expected.codes.dtype
+        assert got.codes.tolist() == expected.codes.tolist()
+    else:
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+
+def buffered_column(segments):
+    """The column list-buffered ingestion builds: each read's pending
+    values through ``_as_column``, concatenated onto what came before."""
+    column = _as_column(segments[0])
+    for segment in segments[1:]:
+        if segment:
+            column = _concat(column, _as_column(segment))
+    return column
+
+
+#: Values the streamed string encoding cannot take: the column reverts
+#: to python values when one arrives (``np.str_("a")`` is an exception
+#: once a plain ``"a"`` is in: it hashes and compares as ``"a"``).
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.sampled_from(["a\x00", "\x00"]),
+    st.sampled_from([np.str_("a"), np.str_("b\x00"), np.str_("zz")]),
+)
+COLUMN_VALUES = st.one_of(STRINGS, STRINGS, STRINGS, ODD_VALUES)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), st.lists(COLUMN_VALUES, max_size=9)),
+        st.tuples(st.just("insert"), st.lists(COLUMN_VALUES, min_size=1, max_size=1)),
+        st.tuples(st.just("read"), st.just([])),
+    ),
+    max_size=8,
+)
+
+
+@given(OPS, st.integers(1, 4))
+def test_streamed_ingestion_matches_buffered_encoding(ops, chunk_rows):
+    """Extends spanning several chunks, inserts and reads in between
+    build the column that encoding each read's values at once builds."""
+    table = ColumnarTable("t", ("s", "n"))
+    segments = [[]]
+    with mock.patch.object(coltable, "CHUNK_ROWS", chunk_rows):
+        for op, values in ops:
+            if op == "extend":
+                table.extend({"s": value, "n": 1} for value in values)
+            elif op == "insert":
+                table.insert(s=values[0], n=1)
+            else:
+                table.materialize()
+                segments.append([])
+            segments[-1].extend(values)
+    assert len(table) == sum(map(len, segments))
+    assert_same_column(table._column("s"), buffered_column(segments))
+
+
+@pytest.mark.parametrize(
+    "odd", [None, 7, [1], ("t",), "b\x00", np.str_("b"), np.str_("a")], ids=repr
+)
+@pytest.mark.parametrize("position", [0, 2, 4, 5, 9], ids="at{}".format)
+def test_odd_value_anywhere_matches_one_shot_encoding(odd, position):
+    """A value the streamed encoding refuses -- first, mid-chunk, or
+    first in a chunk (``CHUNK_ROWS`` is 4 here) -- leaves the column
+    ``_as_column`` of the same values."""
+    values = [f"ip{i % 3}" for i in range(10)]
+    values[position] = odd
+    table = ColumnarTable("t", ("s",))
+    with mock.patch.object(coltable, "CHUNK_ROWS", 4):
+        table.extend({"s": value} for value in values)
+    assert_same_column(table._column("s"), _as_column(values))
+    if not isinstance(odd, (list, tuple)):  # those do not sort among str
+        assert_same_column(
+            DictColumn(*table.codes("s")), DictColumn(*dictionary_codes(values))
+        )
+
+
+def test_string_column_keeps_only_distinct_strings_until_read():
+    table = ColumnarTable("t", ("s", "n"))
+    table.extend({"s": f"ip{i % 3}", "n": i} for i in range(10_000))
+    pending = table._pending["s"]
+    assert pending.raw is None
+    assert list(pending.keys) == ["ip0", "ip1", "ip2"]
+    assert len(pending.codes) == 10_000
+    assert table._pending["n"].keys is None
+    column = table._column("s")
+    assert column.values.tolist() == ["ip0", "ip1", "ip2"]
+    assert column.codes.tolist() == [i % 3 for i in range(10_000)]
