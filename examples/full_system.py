@@ -17,7 +17,7 @@ from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import default_tdiff
 from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
 
@@ -35,7 +35,7 @@ def main():
     )
     annotations = AnnotationDatabase(internet)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-    database = TopologyConstructor(annotations).build(records)
+    database = build_topology(records, annotations)
     print(f"topology database: {len(database)} suitable pairs")
 
     # -- the ground truth: a collectively throttling client ISP --------

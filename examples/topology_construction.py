@@ -13,7 +13,7 @@ import numpy as np
 from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
 from repro.mlab.tables import annotation_table, traceroute_table
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import topology_coverage
 from repro.mlab.traceroute import collect_month
 
 
@@ -44,9 +44,7 @@ def main():
     print(f"hop table: {len(hops)} rows; merged+annotated: "
           f"{annotated}/{len(merged)}")
 
-    tc = TopologyConstructor(annotations)
-    database = tc.build(records)
-    stats = tc.coverage(records, database)
+    database, stats = topology_coverage(records, annotations)
     print(f"clients with complete traceroutes: {stats['complete_fraction']:.0%} "
           f"(paper: 52%)")
     print(f"...of which with a suitable topology: {stats['suitable_fraction']:.0%} "

@@ -90,8 +90,7 @@ def measure_tc(graph):
     """TC end to end on the pinned internet; oracle-scored."""
     from repro.inet import TopologyOracle
     from repro.mlab.annotations import AnnotationDatabase
-    from repro.mlab.tables import annotation_table, traceroute_table
-    from repro.mlab.topology_construction import build_topology_from_tables
+    from repro.mlab.topology_construction import build_topology
 
     internet = _make_internet(graph, TC_CLIENT_ISPS, TC_CLIENTS_PER_ISP)
     annotations = AnnotationDatabase(internet)
@@ -99,11 +98,7 @@ def measure_tc(graph):
 
     sink = obs.MetricsSink()
     with obs.use_sink(sink):
-        tables = (
-            traceroute_table(records, backend="columnar"),
-            annotation_table(annotations, backend="columnar"),
-        )
-        database = build_topology_from_tables(*tables)
+        database = build_topology(records, annotations)
         obs.harvest_topology_database(sink, database)
     counters = sink.snapshot()["counters"]
     double_entry_ok = counters.get("mlab.tc.entries_total", 0) == (
@@ -340,7 +335,7 @@ def measure_coverage():
     """Section 3.3's coverage pipeline over a fresh pinned-graph internet."""
     from repro.inet import PolicyInternet
     from repro.mlab.annotations import AnnotationDatabase
-    from repro.mlab.topology_construction import TopologyConstructor
+    from repro.mlab.topology_construction import topology_coverage
     from repro.mlab.traceroute import collect_month
 
     rng = np.random.default_rng(77)
@@ -351,9 +346,7 @@ def measure_coverage():
     )
     annotations = AnnotationDatabase(internet, rng=rng, miss_rate=0.02)
     records = collect_month(internet, rng)
-    constructor = TopologyConstructor(annotations)
-    database = constructor.build(records)
-    stats = constructor.coverage(records, database)
+    database, stats = topology_coverage(records, annotations)
     return {
         "traceroutes": len(records),
         "complete_fraction": stats["complete_fraction"],

@@ -40,23 +40,26 @@ from repro.wehe.traces import bit_invert
 
 def _add_scenario_arguments(parser):
     parser.add_argument(
-        "--app", default="netflix", choices=sorted(APP_SPECS),
+        "--app", default=ScenarioConfig.app, choices=sorted(APP_SPECS),
         help="replayed application",
     )
     parser.add_argument(
-        "--limiter", default="common",
+        "--limiter", default=ScenarioConfig.limiter,
         choices=["common", "noncommon", "perflow", "none"],
         help="rate-limiter placement (ground truth)",
     )
-    parser.add_argument("--factor", type=float, default=1.5,
+    parser.add_argument("--factor", type=float,
+                        default=ScenarioConfig.input_rate_factor,
                         help="input-rate factor (Table 2)")
-    parser.add_argument("--queue", type=float, default=0.5,
+    parser.add_argument("--queue", type=float,
+                        default=ScenarioConfig.queue_factor,
                         help="TBF queue as a multiple of the burst")
-    parser.add_argument("--duration", type=float, default=60.0,
+    parser.add_argument("--duration", type=float,
+                        default=ScenarioConfig.duration,
                         help="replay duration in seconds")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=ScenarioConfig.seed)
     parser.add_argument(
-        "--fidelity", default="packet", choices=FIDELITIES,
+        "--fidelity", default=ScenarioConfig.fidelity, choices=FIDELITIES,
         help="simulation fidelity: 'packet' simulates every background "
              "packet; 'hybrid' uses the calibrated fluid background "
              "model (5-10x faster cells, verdict-equivalent)",
@@ -74,7 +77,8 @@ def _add_scenario_arguments(parser):
              "(requires --shaper)",
     )
     parser.add_argument(
-        "--multipath", type=int, default=0, metavar="N",
+        "--multipath", type=int, default=ScenarioConfig.multipath,
+        metavar="N",
         help="model the ISP's common device as an N-member ECMP bundle "
              "(the two replays co-hash with probability 1/N); 0 keeps "
              "the classic single common link",
@@ -196,7 +200,7 @@ def cmd_localize(args):
 def cmd_topology(args):
     from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
     from repro.mlab.annotations import AnnotationDatabase
-    from repro.mlab.topology_construction import TopologyConstructor
+    from repro.mlab.topology_construction import topology_coverage
     from repro.mlab.traceroute import collect_month
 
     events = ()
@@ -220,10 +224,7 @@ def cmd_topology(args):
         return 2
     rng = np.random.default_rng(args.seed)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-    annotations = AnnotationDatabase(internet)
-    tc = TopologyConstructor(annotations)
-    database = tc.build(records)
-    stats = tc.coverage(records, database)
+    database, stats = topology_coverage(records, AnnotationDatabase(internet))
     print(f"AS graph              : {len(internet.graph.asns)} ASes, "
           f"{internet.graph.n_edges} edges")
     print(f"traceroutes           : {len(records)}")

@@ -101,8 +101,10 @@ class ScenarioConfig:
             raise ValueError("input_rate_factor must exceed 1 for throttling to bite")
         if not 0.0 <= self.background_share <= 1.0:
             raise ValueError("background_share must be in [0, 1]")
-        if not (self.tcp_background_flows >= 0 and self.tcp_background_flows % 1 == 0):
-            raise ValueError("tcp_background_flows must be a non-negative integer")
+        for name in ("tcp_background_flows", "seed"):
+            value = getattr(self, name)
+            if not (value >= 0 and value % 1 == 0):
+                raise ValueError(f"{name} must be a non-negative integer")
         # The loss-measurement noise knobs, in the domain
         # RetransmissionLossEstimator enforces when the runner builds it.
         if not 0.0 <= self.overcount_rate < 1.0:

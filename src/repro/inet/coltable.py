@@ -111,8 +111,13 @@ def _native(values):
     except (ValueError, TypeError):
         arr = None
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iufbUO":
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = list(values)
+        return _objects(values)
+    return arr
+
+
+def _objects(values):
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = list(values)
     return arr
 
 
@@ -127,9 +132,13 @@ def _as_column(values):
     if encoded is not None:
         return DictColumn(*encoded)
     arr = _native(values)
-    if arr.dtype.kind == "U":
+    if arr.dtype.kind != "U":
+        return arr
+    if arr is values or all(isinstance(value, str) for value in values):
         return DictColumn(*dictionary_codes(arr))
-    return arr
+    # numpy turned numbers mixed with strings into strings; the column
+    # keeps the values, as the row backend does.
+    return _objects(values)
 
 
 def _string_codes(values):
@@ -195,7 +204,8 @@ def _concat(a, b):
     if len(a) == 0:
         return b
     da, db = _decoded(a), _decoded(b)
-    if da.dtype == object or db.dtype == object:
+    # Strings next to numbers stay objects, as in ``_as_column``.
+    if object in (da.dtype, db.dtype) or (da.dtype.kind == "U") != (db.dtype.kind == "U"):
         out = np.empty(len(da) + len(db), dtype=object)
         out[: len(da)] = da
         out[len(da):] = db

@@ -16,12 +16,14 @@ ICMP-blocking ISPs and IP aliasing):
 - :mod:`~repro.mlab.annotations` -- the ASN/geo annotation databases;
 - :mod:`~repro.mlab.tables` -- a tiny joinable record store standing in
   for the two BigQuery tables;
-- :mod:`~repro.mlab.topology_construction` -- the TC algorithm itself.
+- :mod:`~repro.mlab.topology_construction` -- the TC algorithm itself:
+  :func:`build_topology` over records, on
+  :func:`build_topology_from_tables` over the two tables.
 """
 
 from repro.mlab.topology_construction import (
-    TopologyConstructor,
     TopologyDatabase,
+    build_topology,
     build_topology_from_tables,
 )
 from repro.mlab.traceroute import TracerouteRecord, run_traceroute
@@ -29,7 +31,7 @@ from repro.mlab.traceroute import TracerouteRecord, run_traceroute
 __all__ = [
     "TracerouteRecord",
     "run_traceroute",
-    "TopologyConstructor",
     "TopologyDatabase",
+    "build_topology",
     "build_topology_from_tables",
 ]

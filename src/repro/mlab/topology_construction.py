@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.mlab.tables import annotation_table, traceroute_table
 from repro.obs import metrics as _obs
 
 
@@ -101,140 +102,58 @@ class TopologyDatabase:
         return list(self.entries)
 
 
-class TopologyConstructor:
-    """Runs the Section-3.3 pipeline over traceroute records."""
+def build_topology(records, annotations):
+    """Run the Section-3.3 pipeline over traceroute ``records``.
 
-    def __init__(self, annotations):
-        self.annotations = annotations
+    The records and the :class:`~repro.mlab.annotations.AnnotationDatabase`
+    are flattened into the two M-Lab-shaped tables on the columnar
+    backend and run through :func:`build_topology_from_tables`.
+    Returns a :class:`TopologyDatabase`.
+    """
+    return build_topology_from_tables(*_tables(records, annotations))
 
-    # -- filtering ----------------------------------------------------
 
-    def is_complete(self, record):
-        """Filter (a): last hop shares the destination's ASN."""
-        if not record.hops:
-            return False
-        last_asn = self.annotations.asn(record.last_hop_ip)
-        dest_asn = self.annotations.asn(record.destination_ip)
-        if last_asn is None or dest_asn is None:
-            return False
-        return last_asn == dest_asn
+def topology_coverage(records, annotations):
+    """:func:`build_topology` and Section 3.3's coverage numbers (the
+    paper's 52% / 74%).
 
-    @staticmethod
-    def links_consistent(record):
-        """Filter (b): subsequent links meet at the same IP."""
-        links = record.links
-        return all(
-            links[i][1] == links[i + 1][0] for i in range(len(links) - 1)
-        )
+    Returns ``(database, stats)``.  ``stats`` holds the number of
+    clients traced (an empty-hop record counts, though it gives no
+    table row), the fraction of them with a complete traceroute (one
+    that passes filters (a) and (b)), and of those the fraction whose
+    /24 has an entry in the database.
+    """
+    database, complete = construct(*_tables(records, annotations))
+    clients = {record.destination_ip for record in records}
+    with_topology = {prefix for prefix, _asn in database.entries}
+    complete_with_topology = sum(prefix_of(ip) in with_topology for ip in complete)
+    return database, {
+        "clients": len(clients),
+        "complete_fraction": len(complete) / len(clients) if clients else 0.0,
+        "suitable_fraction": complete_with_topology / len(complete)
+        if complete
+        else 0.0,
+    }
 
-    def usable(self, record):
-        return self.is_complete(record) and self.links_consistent(record)
 
-    # -- the four steps per destination -------------------------------
-
-    def pair_is_suitable(self, record_1, record_2, destination_asn):
-        """Steps 2-3: >=1 common in-ISP candidate; no common node outside.
-
-        The candidate intermediate nodes (step 2) are the hops inside
-        the destination's ISP; only the common ones matter here.  Node
-        comparison is by raw IP (no alias resolution), as in the
-        paper's implementation.
-        """
-        hops_1 = {hop.ip for hop in record_1.hops} - {record_1.destination_ip}
-        hops_2 = {hop.ip for hop in record_2.hops} - {record_2.destination_ip}
-        common = hops_1 & hops_2
-        if not common:
-            return False, ()
-        common_inside = {
-            ip for ip in common if self.annotations.asn(ip) == destination_asn
-        }
-        common_outside = common - common_inside
-        if common_outside or not common_inside:
-            return False, ()
-        return True, tuple(sorted(common_inside))
-
-    def build(self, records):
-        """Run the full pipeline; returns a :class:`TopologyDatabase`."""
-        database = TopologyDatabase()
-        if _obs.ENABLED:
-            _obs.SINK.inc("mlab.tc.rows_scanned", len(records))
-        usable_records = [r for r in records if self.usable(r)]
-        by_destination = {}
-        for record in usable_records:
-            by_destination.setdefault(record.destination_ip, []).append(record)
-
-        for destination_ip, dest_records in by_destination.items():
-            destination_asn = self.annotations.asn(destination_ip)
-            if destination_asn is None:
-                continue
-            # Step 1 fallback: if a destination had no traceroutes we
-            # could reuse same-ASN destinations; with per-destination
-            # grouping this arises only for clients absent from the
-            # records, handled by lookup-time ASN fallback if desired.
-            seen_pairs = set()
-            for i, record_1 in enumerate(dest_records):
-                for record_2 in dest_records[i + 1 :]:
-                    if record_1.server_name == record_2.server_name:
-                        continue
-                    pair = tuple(
-                        sorted((record_1.server_name, record_2.server_name))
-                    )
-                    if pair in seen_pairs:
-                        continue
-                    suitable, common = self.pair_is_suitable(
-                        record_1, record_2, destination_asn
-                    )
-                    if suitable:
-                        seen_pairs.add(pair)
-                        database.add(
-                            SuitableTopology(
-                                destination_prefix=prefix_of(destination_ip),
-                                destination_asn=destination_asn,
-                                server_pair=pair,
-                                common_candidates=common,
-                            )
-                        )
-        return database
-
-    # -- coverage statistics (Section 3.3's 52% / 74% numbers) --------
-
-    def coverage(self, records, database):
-        """Fraction of clients with complete traceroutes, and of those,
-        the fraction with at least one suitable topology in ``database``
-        (what :meth:`build` built from ``records``)."""
-        destinations = {r.destination_ip for r in records}
-        complete = {
-            r.destination_ip for r in records if self.usable(r)
-        }
-        with_topology = {
-            prefix for prefix, _asn in database.entries
-        }
-        complete_with_topology = sum(
-            1 for ip in complete if prefix_of(ip) in with_topology
-        )
-        return {
-            "clients": len(destinations),
-            "complete_fraction": len(complete) / len(destinations)
-            if destinations
-            else 0.0,
-            "suitable_fraction": complete_with_topology / len(complete)
-            if complete
-            else 0.0,
-        }
+def _tables(records, annotations):
+    return (
+        traceroute_table(records, backend="columnar"),
+        annotation_table(annotations, backend="columnar"),
+    )
 
 
 def build_topology_from_tables(traceroutes, annotations):
-    """Run the Section-3.3 pipeline from the *tables* instead of records.
+    """Run the Section-3.3 pipeline over the two M-Lab tables.
 
     This is the BigQuery-shaped formulation: the hop table is
     left-joined with the annotation table on ``hop_ip``, then with the
     annotation table again (renamed) on ``destination_ip``, and the
     filters and pair search run over the merged rows.  It accepts
     either table backend (``repro.mlab.tables.Table`` or
-    ``repro.inet.coltable.ColumnarTable``) and builds exactly the
-    database :meth:`TopologyConstructor.build` builds from the records
-    the tables came from: the same keys in the same order, each with
-    the same entries in the same order.
+    ``repro.inet.coltable.ColumnarTable``); the database lists each
+    destination by its first usable traceroute, and a destination's
+    entries in the order of their first suitable traceroute pair.
 
     After the joins both backends run this one implementation, over
     the integer codes of the tables' ``codes`` method instead of
@@ -242,6 +161,16 @@ def build_topology_from_tables(traceroutes, annotations):
     sorted vocabulary, so equal codes are equal values and code order
     is value order.  Any divergence between the backends is therefore
     the joins' fault, which is what the parity tests pin.
+    """
+    return construct(traceroutes, annotations)[0]
+
+
+def construct(traceroutes, annotations):
+    """:func:`build_topology_from_tables`, and the complete destinations.
+
+    Returns ``(database, complete)``: ``complete`` lists the
+    destination IPs with a traceroute that passes filters (a) and (b),
+    each once, in first-seen order.
     """
     annotated = traceroutes.join_table(annotations, on="hop_ip", how="left")
     destination_side = annotations.renamed(
@@ -258,7 +187,7 @@ def build_topology_from_tables(traceroutes, annotations):
         _obs.SINK.inc("mlab.tc.rows_scanned", len(merged))
     database = TopologyDatabase()
     if not len(merged):
-        return database
+        return database, []
 
     ips, (destination_ips, hop_ips, egress_ips) = _shared_codes(
         merged, ("destination_ip", "hop_ip", "egress_ip")
@@ -319,12 +248,9 @@ def build_topology_from_tables(traceroutes, annotations):
     with _collector_paused():
         ip_values = np.array(ips.tolist() + [None], dtype=object)  # -1: None
         server_values = np.array(servers.tolist(), dtype=object)
+        complete = ip_values[record_destinations[dest_records]].tolist()
         keys = [
-            (prefix_of(ip), asn)
-            for ip, asn in zip(
-                ip_values[record_destinations[dest_records]].tolist(),
-                asns[dest_asns].tolist(),
-            )
+            (prefix_of(ip), asn) for ip, asn in zip(complete, asns[dest_asns].tolist())
         ]
         # The winners' shared IPs, back to back; winner k's are
         # candidates[bounds[k]:bounds[k + 1]].
@@ -348,7 +274,7 @@ def build_topology_from_tables(traceroutes, annotations):
         )
         for start, end in zip(*(run.tolist() for run in _runs(dests[winners]))):
             database.extend(keys[winner_dests[start]], topologies[start:end])
-    return database
+    return database, complete
 
 
 @contextmanager
@@ -426,7 +352,7 @@ def _suitable_pairs(records, join_keys, ips, inside, servers):
     ``join_keys`` encodes each row's (destination, IP).  Each two
     records ``i < j`` of different ``servers`` that share a key give
     one (i, j, IP) row, inside iff record j's row is (on a shared IP
-    record 2's ASN decides, as in ``pair_is_suitable``).  A pair is
+    record j's ASN decides).  A pair is
     suitable iff none of its rows is outside.
 
     Returns ``(firsts, seconds, starts, ends, shared_ips)``: the

@@ -72,19 +72,21 @@ def validate_device_knobs(config, common_delay_s=COMMON_DELAY_S):
             )
     elif config.shaper_params:
         raise ValueError("shaper_params requires a shaper")
-    if config.multipath < 0:
-        raise ValueError("multipath must be non-negative")
+    # ``% 1 == 0`` fails on NaN and infinity as well as on fractions.
+    if not (config.multipath >= 0 and config.multipath % 1 == 0):
+        raise ValueError("multipath must be a non-negative integer")
     if config.multipath:
         if config.fidelity != "packet":
             # The fluid twins model one queue per link; a bundle's
             # per-member hashing has no fluid counterpart (yet).
             raise ValueError("multipath requires fidelity='packet'")
-        if config.flowlet_gap_s is not None and config.flowlet_gap_s <= 0:
-            raise ValueError("flowlet_gap_s must be positive")
-        if config.multipath_shaped is not None and not (
-            1 <= config.multipath_shaped <= config.multipath
+        if config.flowlet_gap_s is not None and not 0 < config.flowlet_gap_s < inf:
+            raise ValueError("flowlet_gap_s must be finite and positive")
+        shaped = config.multipath_shaped
+        if shaped is not None and not (
+            1 <= shaped <= config.multipath and shaped % 1 == 0
         ):
-            raise ValueError("multipath_shaped must be in [1, multipath]")
+            raise ValueError("multipath_shaped must be an integer in [1, multipath]")
     else:
         if config.flowlet_gap_s is not None:
             raise ValueError("flowlet_gap_s requires multipath >= 1")

@@ -11,7 +11,7 @@ from repro.core.coordinator import (
 from repro.experiments.scenarios import ScenarioConfig
 from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
 
@@ -21,7 +21,7 @@ def build_platform():
     internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-    database = TopologyConstructor(annotations).build(records)
+    database = build_topology(records, annotations)
     return internet, annotations, database, rng
 
 

@@ -27,7 +27,7 @@ from repro.experiments.wild import default_tdiff, run_wild_test
 from repro.faults import FaultInjector, RetryPolicy
 from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
 from repro.netsim.engine import events_processed_total
@@ -248,7 +248,7 @@ def test_coordinator_fault_draws_match_the_serial_schedule(monkeypatch):
     internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     month = collect_month(internet, rng, tests_per_client=len(internet.servers))
-    database = TopologyConstructor(annotations).build(month)
+    database = build_topology(month, annotations)
     client = next(c for c in internet.clients if database.lookup(c.ip, c.asn))
     injector = FaultInjector.from_spec("replay_abort=0.5,truncated_samples=0.3", seed=0)
     coordinator = WeHeYCoordinator(

@@ -87,6 +87,10 @@ class TestScenarioConfig:
             ("registration_jitter", -0.001),
             ("registration_jitter", float("nan")),
             ("registration_jitter", float("inf")),
+            ("seed", -3),
+            ("seed", 1.5),
+            ("seed", float("nan")),
+            ("seed", float("inf")),
         ],
     )
     def test_rejects_out_of_domain_background_and_loss_knobs(self, name, value):
@@ -105,10 +109,24 @@ class TestScenarioConfig:
             ("registration_jitter", -0.0),
             ("registration_jitter", 0.001),
             ("background_rate_bps", np.int64(20_000_000)),
+            ("seed", 0.0),
+            ("seed", -0.0),
+            ("seed", False),
+            ("seed", np.int64(7)),
         ],
     )
     def test_accepts_in_domain_background_and_loss_knobs(self, name, value):
         assert getattr(ScenarioConfig(**{name: value}), name) == value
+
+    @pytest.mark.parametrize("knobs", [
+        {"multipath": 2.0},
+        {"multipath": -0.0},
+        {"multipath": 2, "multipath_shaped": 1.0},
+        {"multipath": 2, "flowlet_gap_s": 0.05},
+    ])
+    def test_accepts_integral_multipath_knobs(self, knobs):
+        assert ScenarioConfig(**knobs).multipath == knobs["multipath"]
+        TopologyConfig(limiter="common", **knobs)
 
     @pytest.mark.parametrize("name", ["rtt_1", "rtt_2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0, -1.0])
@@ -127,6 +145,11 @@ class TestScenarioConfig:
         {"multipath": 2, "fidelity": "hybrid"},
         {"multipath": 2, "multipath_shaped": 3},
         {"flowlet_gap_s": 0.01},
+        {"multipath": 2.5},
+        {"multipath": float("nan")},
+        {"multipath": 2, "multipath_shaped": 1.5},
+        {"multipath": 2, "flowlet_gap_s": float("nan")},
+        {"multipath": 2, "flowlet_gap_s": float("inf")},
     ])
     def test_rejects_unbuildable_device_knobs(self, knobs):
         # Rejected at construction, with the topology's own message:

@@ -26,7 +26,7 @@ from repro.experiments.scenarios import ScenarioConfig
 from repro.faults import FaultInjector, FaultProfile, FaultSite, RetryPolicy
 from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
 
@@ -53,7 +53,7 @@ def records():
 def fresh_coordinator(records, profile_spec, seed=1, policy=None):
     """A coordinator over a *fresh* database (runs mutate the database)."""
     internet, annotations, month = records
-    database = TopologyConstructor(annotations).build(month)
+    database = build_topology(month, annotations)
     rng = np.random.default_rng(seed)
     scenario = ScenarioConfig(app="zoom", limiter="common", duration=DURATION)
     verifier = TopologyVerifier(internet, annotations, rng)
@@ -74,7 +74,7 @@ def fresh_coordinator(records, profile_spec, seed=1, policy=None):
 
 def target_client(records, min_entries=2):
     internet, annotations, month = records
-    database = TopologyConstructor(annotations).build(month)
+    database = build_topology(month, annotations)
     for client in internet.clients:
         if len(database.lookup(client.ip, client.asn)) >= min_entries:
             return client

@@ -85,15 +85,14 @@ class TestFallbackRtt:
 class TestTopologyInvalidation:
     def test_invalidate_removes_entry(self, internet):
         from repro.mlab.annotations import AnnotationDatabase
-        from repro.mlab.topology_construction import TopologyConstructor
+        from repro.mlab.topology_construction import build_topology
         from repro.mlab.traceroute import collect_month
 
         rng = np.random.default_rng(17)
-        constructor = TopologyConstructor(AnnotationDatabase(internet))
         records = collect_month(
             internet, rng, tests_per_client=len(internet.servers)
         )
-        database = constructor.build(records)
+        database = build_topology(records, AnnotationDatabase(internet))
         assert len(database) > 0
         client = next(
             c for c in internet.clients if database.lookup(c.ip, c.asn)
@@ -108,15 +107,14 @@ class TestTopologyInvalidation:
 
     def test_lookup_returns_a_copy(self, internet):
         from repro.mlab.annotations import AnnotationDatabase
-        from repro.mlab.topology_construction import TopologyConstructor
+        from repro.mlab.topology_construction import build_topology
         from repro.mlab.traceroute import collect_month
 
         rng = np.random.default_rng(17)
-        constructor = TopologyConstructor(AnnotationDatabase(internet))
         records = collect_month(
             internet, rng, tests_per_client=len(internet.servers)
         )
-        database = constructor.build(records)
+        database = build_topology(records, AnnotationDatabase(internet))
         client = next(
             c for c in internet.clients if database.lookup(c.ip, c.asn)
         )

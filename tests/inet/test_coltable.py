@@ -458,3 +458,25 @@ def test_string_column_keeps_only_distinct_strings_until_read():
     column = table._column("s")
     assert column.values.tolist() == ["ip0", "ip1", "ip2"]
     assert column.codes.tolist() == [i % 3 for i in range(10_000)]
+
+
+@pytest.mark.parametrize("backend", ["row", "columnar"])
+@pytest.mark.parametrize("read_between", [False, True], ids=["extend", "concat"])
+@pytest.mark.parametrize(
+    "values", [[1, "a"], ["a", 1], [1.5, "1.5", 2], [1, "a", 1], [True, "x"]]
+)
+def test_numbers_mixed_with_strings_keep_their_types(backend, read_between, values):
+    """numpy would turn ``[1, "a"]`` into ``["1", "a"]``; a column keeps
+    the values, whether one ``extend`` brings them or a read between
+    appends makes the columnar backend concatenate its parts."""
+    table = make_table("t", ("v",), backend)
+    if read_between:
+        for value in values:
+            table.extend([{"v": value}])
+            table.column("v")
+    else:
+        table.extend({"v": value} for value in values)
+    column = table.column("v")
+    assert column == values
+    assert [type(value) for value in column] == [type(value) for value in values]
+    assert len(table.where_equals("v", values[0])) == values.count(values[0])

@@ -14,7 +14,7 @@ from repro.inet import (
     generate_schedule,
 )
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import run_traceroute
 from repro.mlab.verification import TopologyVerifier
 
@@ -30,7 +30,7 @@ def _build(seed=0, n_ases=300):
         for client in internet.clients
         for server in internet.servers
     ]
-    database = TopologyConstructor(annotations).build(records)
+    database = build_topology(records, annotations)
     return internet, annotations, database
 
 

@@ -8,10 +8,11 @@ from repro.inet.policy import is_valley_free
 from repro.mlab.annotations import AnnotationDatabase
 from repro.mlab.tables import annotation_table, traceroute_table
 from repro.mlab.topology_construction import (
-    TopologyConstructor,
+    build_topology,
     build_topology_from_tables,
 )
 from repro.mlab.traceroute import run_traceroute
+from tc_reference import reference_build
 
 
 def _collect(internet, seed=7):
@@ -42,7 +43,7 @@ def messy_internet():
 @pytest.fixture(scope="module")
 def database(internet):
     records = _collect(internet)
-    return TopologyConstructor(AnnotationDatabase(internet)).build(records)
+    return build_topology(records, AnnotationDatabase(internet))
 
 
 class TestPolicyInternet:
@@ -84,25 +85,28 @@ class TestOracleScore:
         assert score["recall"] >= 0.9
 
     def test_messiness_costs_recall_not_precision(self, messy_internet):
-        database = TopologyConstructor(
-            AnnotationDatabase(messy_internet)
-        ).build(_collect(messy_internet))
+        database = build_topology(
+            _collect(messy_internet), AnnotationDatabase(messy_internet)
+        )
         score = TopologyOracle(messy_internet).score(database)
         assert score["precision"] == 1.0
 
-    def test_table_paths_match_object_path(self, internet, messy_internet):
-        """Both backends build the record path's database exactly:
-        key order, per-key list order and every entry field."""
+    def test_both_backends_match_the_reference(self, internet, messy_internet):
+        """Both backends, and ``build_topology`` over the records, build
+        the reference database exactly: key order, per-key list order
+        and every entry field."""
         for net in (internet, messy_internet):
             records = _collect(net)
             annotations = AnnotationDatabase(net)
-            reference = TopologyConstructor(annotations).build(records)
-            assert len(reference) > 100
+            expected = list(reference_build(
+                traceroute_table(records, backend="row"),
+                annotation_table(annotations, backend="row"),
+            ).entries.items())
+            assert sum(len(entries) for _, entries in expected) > 100
             for backend in ("row", "columnar"):
                 built = build_topology_from_tables(
                     traceroute_table(records, backend=backend),
                     annotation_table(annotations, backend=backend),
                 )
-                assert list(built.entries.items()) == list(
-                    reference.entries.items()
-                ), backend
+                assert list(built.entries.items()) == expected, backend
+            assert list(build_topology(records, annotations).entries.items()) == expected

@@ -4,7 +4,7 @@ Each hand-built case is one edge of the Section-3.3 pipeline as the
 tables express it.  Its expected database and counters are pinned
 values, asserted on both table backends: key order, per-key list order
 and every entry field.  Random tables are then checked against
-:func:`reference_build`, the per-row loop formulation.
+:func:`tc_reference.reference_build`, the per-row loop formulation.
 """
 
 import random
@@ -16,9 +16,9 @@ from repro.mlab.topology_construction import (
     SuitableTopology,
     TopologyDatabase,
     build_topology_from_tables,
-    prefix_of,
 )
 from repro.obs import MetricsSink, harvest_topology_database, use_sink
+from tc_reference import reference_build
 
 ISP, TRANSIT = 100, 7
 
@@ -338,49 +338,6 @@ def test_invalidate_balances_counters(case, backend):
         counters["mlab.tc.pairs_found"] - counters["mlab.tc.entries_invalidated"]
     )
     assert sink.gauges["mlab.tc.destinations"] == len(database.destinations)
-
-
-def reference_build(traceroutes, annotations):
-    """The per-row loop over the merged rows: group, filter, and check
-    every record pair from scratch (row backend)."""
-    destination_side = annotations.renamed(
-        {"hop_ip": "destination_ip", "asn": "destination_asn",
-         "country": "destination_country"}
-    )
-    merged = traceroutes.join_table(
-        annotations, on="hop_ip", how="left"
-    ).join_table(destination_side, on="destination_ip", how="left")
-    groups = {}
-    for row in merged:
-        groups.setdefault(row["traceroute_id"], []).append(row)
-    by_destination = {}
-    for rows in groups.values():
-        last = rows[-1]
-        if last["destination_asn"] is None or \
-                last["asn"] != last["destination_asn"]:
-            continue
-        if any(row["hop_ip"] != row["egress_ip"] for row in rows):
-            continue
-        hops = {row["hop_ip"]: row["asn"] for row in rows}  # last row wins
-        by_destination.setdefault(
-            last["destination_ip"], (last["destination_asn"], [])
-        )[1].append((last["server_name"], hops))
-    database = TopologyDatabase()
-    for destination, (asn, records) in by_destination.items():
-        seen = set()
-        for i, (server_1, hops_1) in enumerate(records):
-            for server_2, hops_2 in records[i + 1:]:
-                pair = tuple(sorted((server_1, server_2)))
-                if server_1 == server_2 or pair in seen:
-                    continue
-                common = (hops_1.keys() & hops_2.keys()) - {destination}
-                if common and all(hops_2[ip] == asn for ip in common):
-                    seen.add(pair)
-                    database.add(SuitableTopology(
-                        prefix_of(destination), asn, pair,
-                        tuple(sorted(common)),
-                    ))
-    return database
 
 
 def random_case(rng):

@@ -1,15 +1,22 @@
 """Topology-construction (Section 3.3) tests over the synthetic internet."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
+from repro.mlab.tables import annotation_table, traceroute_table
 from repro.mlab.topology_construction import (
-    TopologyConstructor,
+    SuitableTopology,
+    build_topology,
+    construct,
     prefix_of,
+    topology_coverage,
 )
 from repro.mlab.traceroute import collect_month, run_traceroute
+from repro.mlab.verification import TopologyVerifier
 
 
 @pytest.fixture
@@ -33,6 +40,21 @@ def messy_internet():
     )
 
 
+def _usable(record, annotations):
+    """Whether ``record`` passes filters (a) and (b)."""
+    _database, complete = construct(
+        traceroute_table([record], backend="columnar"),
+        annotation_table(annotations, backend="columnar"),
+    )
+    assert complete in ([], [record.destination_ip])
+    return bool(complete)
+
+
+def _links_consistent(record):
+    """Filter (b) as a record states it: subsequent links meet at one IP."""
+    return all(a[1] == b[0] for a, b in zip(record.links, record.links[1:]))
+
+
 class TestPrefix:
     def test_slash24(self):
         assert prefix_of("10.1.2.3") == "10.1.2.0/24"
@@ -52,61 +74,98 @@ class TestPrefix:
 class TestFilters:
     def test_clean_traceroute_is_usable(self, clean_internet):
         internet, rng = clean_internet
-        tc = TopologyConstructor(AnnotationDatabase(internet))
         record = run_traceroute(
             internet, internet.servers[0], internet.clients[0], rng
         )
         assert record.reached_destination
-        assert tc.is_complete(record)
-        assert tc.links_consistent(record)
+        assert _links_consistent(record)
+        assert _usable(record, AnnotationDatabase(internet))
 
     def test_icmp_blocking_fails_completeness(self):
         rng = np.random.default_rng(3)
         internet = PolicyInternet(seed=0, rng=rng, icmp_block_fraction=1.0)
-        tc = TopologyConstructor(AnnotationDatabase(internet))
         record = run_traceroute(
             internet, internet.servers[0], internet.clients[0], rng
         )
         assert not record.reached_destination
-        assert not tc.is_complete(record)
+        assert _links_consistent(record)
+        assert not _usable(record, AnnotationDatabase(internet))
 
     def test_aliasing_breaks_link_consistency_sometimes(self):
         rng = np.random.default_rng(4)
         internet = PolicyInternet(seed=0, rng=rng, alias_fraction=1.0)
-        tc = TopologyConstructor(AnnotationDatabase(internet))
-        consistent = [
-            tc.links_consistent(
-                run_traceroute(internet, server, internet.clients[0], rng)
-            )
+        annotations = AnnotationDatabase(internet)
+        records = [
+            run_traceroute(internet, server, internet.clients[0], rng)
             for server in internet.servers
             for _ in range(5)
         ]
+        consistent = [_links_consistent(record) for record in records]
         assert not all(consistent)
+        assert all(record.reached_destination for record in records)
+        assert [_usable(record, annotations) for record in records] == consistent
 
     def test_annotation_miss_fails_closed(self, clean_internet):
         internet, rng = clean_internet
         empty = AnnotationDatabase(internet, rng=rng, miss_rate=1.0)
-        tc = TopologyConstructor(empty)
         record = run_traceroute(
             internet, internet.servers[0], internet.clients[0], rng
         )
-        assert not tc.is_complete(record)
+        assert not _usable(record, empty)
+
+
+class TestLinkBreaks:
+    """Hand-built aliasing: a record's hop ``i`` is the far end of its
+    link ``i`` (``run_traceroute`` builds them so), and a router that
+    answers from another interface changes the near end of link
+    ``i + 1``.  The table states that as ``egress_ip != hop_ip``."""
+
+    @pytest.fixture
+    def pair(self, clean_internet):
+        internet, rng = clean_internet
+        annotations = AnnotationDatabase(internet)
+        client = internet.clients[0]
+        records = {
+            server.name: run_traceroute(internet, server, client, rng)
+            for server in internet.servers
+        }
+        entry = build_topology(list(records.values()), annotations).lookup(
+            client.ip, client.asn
+        )[0]
+        return annotations, [records[name] for name in entry.server_pair]
+
+    @pytest.mark.parametrize("end", ["first", "second"])
+    def test_every_break_but_the_server_side_drops_the_record(self, pair, end):
+        annotations, records = pair
+        index = 0 if end == "first" else 1
+        record = records[index]
+        assert len(build_topology(records, annotations)) == 1
+        assert len(record.links) == len(record.hops) >= 3
+        for position, link in enumerate(record.links):
+            links = list(record.links)
+            links[position] = ("192.0.2.1", link[1])
+            broken = replace(record, links=tuple(links))
+            # Link 0's near end is the server, which no hop reports.
+            kept = position == 0
+            assert _links_consistent(broken) == kept
+            assert _usable(broken, annotations) == kept
+            records_now = list(records)
+            records_now[index] = broken
+            assert len(build_topology(records_now, annotations)) == kept
 
 
 class TestPairSearch:
     def test_database_contains_suitable_pairs(self, clean_internet):
         internet, rng = clean_internet
-        tc = TopologyConstructor(AnnotationDatabase(internet))
         records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-        database = tc.build(records)
+        database = build_topology(records, AnnotationDatabase(internet))
         assert len(database) > 0
 
     def test_suitable_pairs_converge_inside_the_isp(self, clean_internet):
         internet, rng = clean_internet
         annotations = AnnotationDatabase(internet)
-        tc = TopologyConstructor(annotations)
         records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-        database = tc.build(records)
+        database = build_topology(records, annotations)
         for (prefix, asn), topologies in database.entries.items():
             for topology in topologies:
                 assert topology.common_candidates
@@ -117,21 +176,27 @@ class TestPairSearch:
         # Servers of one site share their whole transit chain: any
         # common node outside the ISP disqualifies the pair.
         internet, rng = clean_internet
-        tc = TopologyConstructor(AnnotationDatabase(internet))
+        annotations = AnnotationDatabase(internet)
         client = internet.clients[0]
         same_site = [s for s in internet.servers if s.site == "site-0"]
-        r1 = run_traceroute(internet, same_site[0], client, rng)
-        r2 = run_traceroute(internet, same_site[1], client, rng)
-        suitable, _ = tc.pair_is_suitable(
-            r1, r2, internet.isp_of(client).asn
+        records = [
+            run_traceroute(internet, server, client, rng) for server in same_site[:2]
+        ]
+        assert all(_usable(record, annotations) for record in records)
+        assert len(build_topology(records, annotations)) == 0
+        entry = SuitableTopology(
+            prefix_of(client.ip),
+            internet.isp_of(client).asn,
+            tuple(sorted(server.name for server in same_site[:2])),
+            (),
         )
-        assert not suitable
+        verifier = TopologyVerifier(internet, annotations, rng)
+        assert not verifier.verify(entry, client.name)
 
     def test_lookup_by_client(self, clean_internet):
         internet, rng = clean_internet
-        tc = TopologyConstructor(AnnotationDatabase(internet))
         records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-        database = tc.build(records)
+        database = build_topology(records, AnnotationDatabase(internet))
         hits = 0
         for client in internet.clients:
             pairs = database.lookup(client.ip, client.asn)
@@ -140,8 +205,7 @@ class TestPairSearch:
 
 
 def _coverage(internet, records):
-    tc = TopologyConstructor(AnnotationDatabase(internet))
-    return tc.coverage(records, tc.build(records))
+    return topology_coverage(records, AnnotationDatabase(internet))[1]
 
 
 class TestCoverage:
@@ -158,3 +222,19 @@ class TestCoverage:
         clean_stats = _coverage(clean_net, collect_month(clean_net, clean_rng, tests_per_client=4))
         messy_stats = _coverage(messy_net, collect_month(messy_net, messy_rng, tests_per_client=4))
         assert messy_stats["complete_fraction"] < clean_stats["complete_fraction"]
+
+    def test_empty_records_count_as_clients(self, clean_internet):
+        internet, rng = clean_internet
+        annotations = AnnotationDatabase(internet)
+        traced, untraced = internet.clients[:2]
+        records = [
+            run_traceroute(internet, server, traced, rng) for server in internet.servers
+        ]
+        records.append(replace(records[0], destination_ip=untraced.ip, hops=(), links=()))
+        database, stats = topology_coverage(records, annotations)
+        assert database == build_topology(records, annotations)
+        assert stats == {
+            "clients": 2,
+            "complete_fraction": 0.5,
+            "suitable_fraction": 1.0,
+        }

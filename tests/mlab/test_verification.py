@@ -5,7 +5,7 @@ import pytest
 
 from repro.inet import PolicyInternet, RouteDynamics, TopologyOracle, generate_schedule
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.topology_construction import TopologyConstructor
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import collect_month
 from repro.mlab.verification import TopologyVerifier
 
@@ -16,7 +16,7 @@ def setup():
     internet = PolicyInternet(seed=0, rng=rng)
     annotations = AnnotationDatabase(internet)
     records = collect_month(internet, rng, tests_per_client=len(internet.servers))
-    database = TopologyConstructor(annotations).build(records)
+    database = build_topology(records, annotations)
     # Pick any client with a suitable topology.
     for client in internet.clients:
         entries = database.lookup(client.ip, client.asn)
@@ -59,3 +59,27 @@ class TestTopologyVerifier:
         broken = replace(entry, server_pair=("ghost-1", "ghost-2"))
         verifier = TopologyVerifier(internet, annotations, rng)
         assert not verifier.verify(broken, client.name)
+
+
+@pytest.mark.parametrize("icmp_block_fraction", [0.0, 1.0], ids=["usable", "blocked"])
+def test_draws_the_second_traceroute_only_after_a_usable_first(icmp_block_fraction):
+    """The verifier shares its rng with the coordinator, so what it
+    draws is part of every later result: a first traceroute that fails
+    filter (a) or (b) ends the check before the second is run."""
+    from repro.mlab.topology_construction import SuitableTopology, prefix_of
+    from repro.mlab.traceroute import run_traceroute
+
+    internet = PolicyInternet(
+        seed=0, rng=np.random.default_rng(5), icmp_block_fraction=icmp_block_fraction
+    )
+    client = internet.clients[0]
+    servers = [internet.servers[0], internet.servers[-1]]
+    entry = SuitableTopology(
+        prefix_of(client.ip), client.asn, tuple(s.name for s in servers), ()
+    )
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    verifier = TopologyVerifier(internet, AnnotationDatabase(internet), rng)
+    assert verifier.verify(entry, client.name) == (icmp_block_fraction == 0.0)
+    for server in servers[: 2 if icmp_block_fraction == 0.0 else 1]:
+        run_traceroute(internet, server, client, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state

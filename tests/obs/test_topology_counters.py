@@ -5,11 +5,7 @@ import pytest
 
 from repro.inet import PolicyInternet
 from repro.mlab.annotations import AnnotationDatabase
-from repro.mlab.tables import annotation_table, traceroute_table
-from repro.mlab.topology_construction import (
-    TopologyConstructor,
-    build_topology_from_tables,
-)
+from repro.mlab.topology_construction import build_topology
 from repro.mlab.traceroute import run_traceroute
 from repro.obs import harvest_topology_database
 from repro.obs import metrics as obs_metrics
@@ -37,29 +33,18 @@ class TestCounters:
         internet, annotations, records = stack
         sink = obs_metrics.MetricsSink()
         with obs_metrics.use_sink(sink):
-            database = TopologyConstructor(annotations).build(records)
+            database = build_topology(records, annotations)
         counters = sink.snapshot()["counters"]
-        assert counters["mlab.tc.rows_scanned"] >= len(records)
-        assert counters["mlab.tc.pairs_found"] == len(database)
+        # One merged row per hop: annotations are unique per IP.
+        assert counters["mlab.tc.rows_scanned"] == sum(len(r.hops) for r in records)
+        assert counters["mlab.tc.pairs_found"] == len(database) > 0
         assert "mlab.tc.entries_invalidated" not in counters
-
-    def test_tables_path_books_row_scans(self, stack):
-        internet, annotations, records = stack
-        sink = obs_metrics.MetricsSink()
-        with obs_metrics.use_sink(sink):
-            database = build_topology_from_tables(
-                traceroute_table(records, backend="columnar"),
-                annotation_table(annotations, backend="columnar"),
-            )
-        counters = sink.snapshot()["counters"]
-        assert counters["mlab.tc.rows_scanned"] > 0
-        assert counters["mlab.tc.pairs_found"] == len(database)
 
     def test_double_entry_after_invalidations(self, stack):
         internet, annotations, records = stack
         sink = obs_metrics.MetricsSink()
         with obs_metrics.use_sink(sink):
-            database = TopologyConstructor(annotations).build(records)
+            database = build_topology(records, annotations)
             dropped = 0
             last = None
             for key in list(database.entries)[:2]:
@@ -85,5 +70,5 @@ class TestCounters:
         internet, annotations, records = stack
         sink = obs_metrics.MetricsSink()
         with obs_metrics.use_sink(None):
-            TopologyConstructor(annotations).build(records)
+            build_topology(records, annotations)
         assert sink.snapshot()["counters"] == {}

@@ -64,6 +64,7 @@ class TestParseSubmission:
         ({"knobs": {"congestion_factor": float("inf")}}, "congestion_factor"),
         ({"knobs": {"queue_factor": 0}}, "queue_factor"),
         ({"knobs": {"rtt_1": float("nan")}}, "rtt_1"),
+        ({"knobs": {"seed": -3}}, "seed must be a non-negative integer"),
     ])
     def test_rejections_carry_structured_reasons(self, mutation, fragment):
         with pytest.raises(MalformedSubmission) as excinfo:
