@@ -23,6 +23,7 @@ Examples::
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -34,61 +35,23 @@ from repro.faults import FaultInjector, ReplayAbortedError
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.wild import default_tdiff
 from repro.netsim.topology import FIDELITIES
-from repro.wehe.apps import APP_SPECS, make_trace
+from repro.wehe.apps import make_trace
 from repro.wehe.traces import bit_invert
 
 
+_FLAGGED = [field for field in dataclasses.fields(ScenarioConfig) if field.metadata["cli"]]
+
+
 def _add_scenario_arguments(parser):
-    parser.add_argument(
-        "--app", default=ScenarioConfig.app, choices=sorted(APP_SPECS),
-        help="replayed application",
-    )
-    parser.add_argument(
-        "--limiter", default=ScenarioConfig.limiter,
-        choices=["common", "noncommon", "perflow", "none"],
-        help="rate-limiter placement (ground truth)",
-    )
-    parser.add_argument("--factor", type=float,
-                        default=ScenarioConfig.input_rate_factor,
-                        help="input-rate factor (Table 2)")
-    parser.add_argument("--queue", type=float,
-                        default=ScenarioConfig.queue_factor,
-                        help="TBF queue as a multiple of the burst")
-    parser.add_argument("--duration", type=float,
-                        default=ScenarioConfig.duration,
-                        help="replay duration in seconds")
-    parser.add_argument("--seed", type=int, default=ScenarioConfig.seed)
-    parser.add_argument(
-        "--fidelity", default=ScenarioConfig.fidelity, choices=FIDELITIES,
-        help="simulation fidelity: 'packet' simulates every background "
-             "packet; 'hybrid' uses the calibrated fluid background "
-             "model (5-10x faster cells, verdict-equivalent)",
-    )
-    parser.add_argument(
-        "--shaper", default=None, metavar="NAME",
-        help="rate-limiting mechanism deployed at the --limiter "
-             "placement ('repro qdisc' lists them: red, codel, pie, "
-             "dual_tbf, conditional, ecn, ...); default: the paper's "
-             "token bucket",
-    )
-    parser.add_argument(
-        "--shaper-params", default=None, metavar="K=V[,K=V...]",
-        help="mechanism parameters, e.g. 'max_p=0.2,ecn=true' "
-             "(requires --shaper)",
-    )
-    parser.add_argument(
-        "--multipath", type=int, default=ScenarioConfig.multipath,
-        metavar="N",
-        help="model the ISP's common device as an N-member ECMP bundle "
-             "(the two replays co-hash with probability 1/N); 0 keeps "
-             "the classic single common link",
-    )
-    parser.add_argument(
-        "--flowlet-gap", type=float, default=None, metavar="SECONDS",
-        help="flowlet re-hash gap: a flow pausing longer than this "
-             "re-hashes onto a (possibly different) member "
-             "(requires --multipath)",
-    )
+    for field in _FLAGGED:
+        flag, help_text, *metavar = field.metadata["cli"]
+        domain = field.metadata["domain"]
+        parser.add_argument(
+            flag, type=domain.type, help=help_text, metavar=metavar[0] if metavar else None,
+            choices=domain.choices and ["none" if c is None else c for c in domain.choices],
+            # --shaper-params stays text until _scenario_from parses it.
+            default=None if field.name == "shaper_params" else field.default,
+        )
 
 
 def _parse_shaper_params(text):
@@ -118,22 +81,14 @@ def _parse_shaper_params(text):
 
 
 def _scenario_from(args):
-    shaper_params = ()
-    if args.shaper_params:
-        shaper_params = _parse_shaper_params(args.shaper_params)
-    return ScenarioConfig(
-        app=args.app,
-        limiter=None if args.limiter == "none" else args.limiter,
-        input_rate_factor=args.factor,
-        queue_factor=args.queue,
-        duration=args.duration,
-        seed=args.seed,
-        fidelity=args.fidelity,
-        shaper=args.shaper,
-        shaper_params=shaper_params,
-        multipath=args.multipath,
-        flowlet_gap_s=args.flowlet_gap,
-    )
+    knobs = {
+        field.name: getattr(args, field.metadata["cli"][0][2:].replace("-", "_"))
+        for field in _FLAGGED
+    }
+    if knobs["limiter"] == "none":
+        knobs["limiter"] = None
+    knobs["shaper_params"] = _parse_shaper_params(knobs["shaper_params"] or "")
+    return ScenarioConfig(**knobs)
 
 
 def cmd_localize(args):

@@ -16,6 +16,7 @@ replay and applies the common-bottleneck detectors directly, which is
 what the paper's FN/FP metrics are defined on.
 """
 
+import dataclasses
 import gc
 import os
 import pickle
@@ -72,27 +73,16 @@ class _Environment:
         children = seed_seq.spawn(6)
         self.rngs = [np.random.default_rng(s) for s in children]
 
+        # Knobs shared by name (fields or derived rates) come from the
+        # scenario; RED/PIE draws and the ECMP hash are seeded by its seed.
+        shared = {
+            declared.name: getattr(config, declared.name)
+            for declared in dataclasses.fields(TopologyConfig)
+            if hasattr(config, declared.name)
+        }
         topo_config = TopologyConfig(
-            common_bandwidth_bps=100e6,
-            rtt_1=config.rtt_1,
-            rtt_2=config.rtt_2,
-            limiter=config.limiter,
-            limiter_rate_bps=config.limiter_rate_bps,
-            queue_factor=config.queue_factor,
-            noncommon_bandwidth_bps=config.noncommon_bandwidth_bps,
-            fidelity=config.fidelity,
-            shaper=config.shaper,
-            shaper_params=config.shaper_params,
-            # Seeded mechanisms (RED/PIE draws) derive their device
-            # seeds from the scenario seed, so a cell's shaper behaviour
-            # depends only on the cell.
-            shaper_seed=config.seed,
-            # ECMP bundle knobs; the hash seed also derives from the
-            # scenario seed, so member assignment is a cell property.
-            multipath=config.multipath,
-            flowlet_gap_s=config.flowlet_gap_s,
-            multipath_shaped=config.multipath_shaped,
-            multipath_seed=config.seed,
+            common_bandwidth_bps=100e6, shaper_seed=config.seed, multipath_seed=config.seed,
+            **shared,
         )
         self.topology = FigureOneTopology(self.sim, topo_config)
         #: Shared by every replay in this environment.

@@ -362,11 +362,6 @@ class ColumnarTable:
     def __len__(self):
         return self._n
 
-    def insert(self, **values):
-        if values.keys() != self._colset:
-            raise schema_error(self.name, self._colset, values.keys())
-        self._append((values,))
-
     def extend(self, rows):
         """Bulk append; every row must match the schema exactly.
 

@@ -32,17 +32,6 @@ class Table:
     def __iter__(self):
         return iter(self._rows)
 
-    def insert(self, **values):
-        # Exact schema match is the overwhelmingly common case; one set
-        # comparison decides it, and the diagnostics are only computed
-        # on the failure path.
-        if values.keys() == self._colset:
-            self._rows.append(values)
-            return
-        from repro.inet.coltable import schema_error
-
-        raise schema_error(self.name, self._colset, values.keys())
-
     def extend(self, rows):
         """Bulk append; every row must match the schema exactly.
 
@@ -185,24 +174,22 @@ def traceroute_table(records, backend="row"):
     predicate ``hop_ip == egress_ip``.
     """
     table = make_table("traceroutes", TRACEROUTE_COLUMNS, backend=backend)
-    for traceroute_id, record in enumerate(records):
-        links = record.links
-        for hop_index, hop in enumerate(record.hops):
-            egress = (
-                links[hop_index + 1][0]
-                if hop_index + 1 < len(links)
-                else hop.ip
-            )
-            table.insert(
-                traceroute_id=traceroute_id,
-                server_name=record.server_name,
-                server_ip=record.server_ip,
-                destination_ip=record.destination_ip,
-                hop_index=hop_index,
-                hop_ip=hop.ip,
-                egress_ip=egress,
-                rtt_ms=hop.rtt_ms,
-            )
+    table.extend(
+        {
+            "traceroute_id": traceroute_id,
+            "server_name": record.server_name,
+            "server_ip": record.server_ip,
+            "destination_ip": record.destination_ip,
+            "hop_index": hop_index,
+            "hop_ip": hop.ip,
+            "egress_ip": (
+                record.links[hop_index + 1][0] if hop_index + 1 < len(record.links) else hop.ip
+            ),
+            "rtt_ms": hop.rtt_ms,
+        }
+        for traceroute_id, record in enumerate(records)
+        for hop_index, hop in enumerate(record.hops)
+    )
     return table
 
 
@@ -211,8 +198,8 @@ def annotation_table(database, backend="row"):
     table = make_table(
         "annotations", ("hop_ip", "asn", "country"), backend=backend
     )
-    for annotation in database._annotations.values():
-        table.insert(
-            hop_ip=annotation.ip, asn=annotation.asn, country=annotation.country
-        )
+    table.extend(
+        {"hop_ip": annotation.ip, "asn": annotation.asn, "country": annotation.country}
+        for annotation in database._annotations.values()
+    )
     return table

@@ -158,7 +158,7 @@ def qdisc_spec(name):
         raise ValueError(f"unknown qdisc {name!r} (known: {known})") from None
 
 
-def _factory(spec, fidelity):
+def device_factory(spec, fidelity):
     """The device factory of ``spec`` at ``fidelity`` (None if absent)."""
     if fidelity == "packet":
         return spec.packet
@@ -169,7 +169,7 @@ def _factory(spec, fidelity):
 
 def supports_fidelity(name, fidelity):
     """True when mechanism ``name`` can be built at ``fidelity``."""
-    return _factory(qdisc_spec(name), fidelity) is not None
+    return device_factory(qdisc_spec(name), fidelity) is not None
 
 
 def make_qdisc(name, fidelity="packet", **params):
@@ -181,7 +181,7 @@ def make_qdisc(name, fidelity="packet", **params):
     drop processes depend on instantaneous queue state in a way the
     closed-form fluid integration cannot reproduce).
     """
-    factory = _factory(qdisc_spec(name), fidelity)
+    factory = device_factory(qdisc_spec(name), fidelity)
     if factory is None:
         raise QdiscFidelityError(
             f"qdisc {name!r} has no {fidelity} implementation"

@@ -620,11 +620,6 @@ def _build_ecn_device(
     return class_device(shaper, fifo_capacity)
 
 
-def _ecn_bucket(rate_bps, burst_bytes, limit_bytes, **params):
-    params.setdefault("ecn", True)
-    return RedTokenBucket(rate_bps, burst_bytes, limit_bytes, **params)
-
-
 def _build_codel_device(
     rate_bps,
     rtt_s=0.035,
@@ -705,7 +700,7 @@ register(
 register(
     "ecn",
     packet=_build_ecn_device,
-    shaper=_ecn_bucket,
+    shaper=partial(RedTokenBucket, ecn=True),
     seeded=True,
     doc="RED variant that ECN-marks instead of dropping",
 )

@@ -15,17 +15,20 @@ conditional, ecn, ... -- can be deployed at any placement, with
 mechanism parameters passed through ``shaper_params``.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from math import inf
 
 from repro.netsim.link import Link
 from repro.netsim.multipath import MultipathLink, shaped_member_subset
 from repro.netsim.path import DirectPath, Path
-from repro.netsim.qdisc import make_qdisc, qdisc_spec, supports_fidelity
+from repro.netsim.qdisc import device_factory, make_qdisc, qdisc_spec
 
 
 #: Simulation fidelities (see :mod:`repro.netsim.fluid`).
 FIDELITIES = ("packet", "hybrid")
+#: Where the rate limiter sits; None deploys none.
+LIMITERS = ("common", "noncommon", "perflow", None)
 #: Default one-way propagation delay of the common link ``lc``.
 COMMON_DELAY_S = 0.002
 
@@ -41,7 +44,7 @@ def validate_device_knobs(config, common_delay_s=COMMON_DELAY_S):
     one function, so a scenario that constructs is a scenario the
     simulator can build.
     """
-    if config.limiter not in (None, "common", "noncommon", "perflow"):
+    if config.limiter not in LIMITERS:
         raise ValueError(f"unknown limiter placement {config.limiter!r}")
     if config.fidelity not in FIDELITIES:
         raise ValueError(f"unknown fidelity {config.fidelity!r}")
@@ -65,11 +68,20 @@ def validate_device_knobs(config, common_delay_s=COMMON_DELAY_S):
                 raise ValueError(
                     f"fluid per-flow has no {config.shaper!r} twin"
                 )
-        elif not supports_fidelity(config.shaper, config.fidelity):
-            raise ValueError(
-                f"shaper {config.shaper!r} has no {config.fidelity} "
-                "implementation (AQMs are packet-only)"
-            )
+            builder = spec.shaper
+        else:
+            builder = device_factory(spec, config.fidelity)
+            if builder is None:
+                raise ValueError(
+                    f"shaper {config.shaper!r} has no {config.fidelity} "
+                    "implementation (AQMs are packet-only)"
+                )
+        # The parameter names the builder will be called with, bound
+        # now so a misspelt one fails here rather than mid-run.
+        try:
+            inspect.signature(builder).bind_partial(**dict(config.shaper_params))
+        except TypeError as exc:
+            raise ValueError(f"bad parameters for qdisc {config.shaper!r}: {exc}") from None
     elif config.shaper_params:
         raise ValueError("shaper_params requires a shaper")
     # ``% 1 == 0`` fails on NaN and infinity as well as on fractions.

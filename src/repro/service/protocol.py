@@ -33,6 +33,7 @@ Nothing is ever silently dropped: the accounting invariant
 generator and the service test suite.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -56,25 +57,23 @@ TERMINAL_STATUSES = (
     Status.FAILED,
 )
 
-#: The numeric ScenarioConfig fields a submission may set, with the
-#: types each takes.  ``bool`` is an ``int`` in Python but never a number
-#: on the wire, so it is refused for all.
-NUMERIC_KNOBS = {
-    "input_rate_factor": (int, float),
-    "queue_factor": (int, float),
-    "background_share": (int, float),
-    "duration": (int, float),
-    "rtt_1": (int, float),
-    "rtt_2": (int, float),
-    "congestion_factor": (int, float),
-    "seed": int,
-}
+#: ScenarioConfig fields a submission may set: those declared with
+#: ``service=True``.  Everything else (background model, modulation,
+#: ...) is service-pinned so the cache key space stays small and
+#: submissions cannot smuggle in arbitrary work multipliers.
+ALLOWED_KNOBS = frozenset(
+    declared.name for declared in dataclasses.fields(ScenarioConfig) if declared.metadata["service"]
+)
 
-#: ScenarioConfig fields a submission may set.  Everything else
-#: (background model, modulation, ...) is service-pinned so the cache
-#: key space stays small and submissions cannot smuggle in arbitrary
-#: work multipliers.
-ALLOWED_KNOBS = frozenset({"limiter", *NUMERIC_KNOBS})
+#: The numeric allowed knobs, with the wire types each takes: an
+#: integral domain takes ``int``, any other number ``int`` or ``float``.
+#: ``bool`` is an ``int`` in Python but never a number on the wire, so
+#: it is refused for all.
+NUMERIC_KNOBS = {
+    declared.name: int if declared.metadata["domain"].type is int else (int, float)
+    for declared in dataclasses.fields(ScenarioConfig)
+    if declared.name in ALLOWED_KNOBS and declared.metadata["domain"].type is not None
+}
 
 #: Top-level fields a submission may carry.
 SUBMISSION_FIELDS = frozenset(

@@ -142,14 +142,18 @@ def fields_to_dict(obj, skip=()):
     return data
 
 
+_FIELDS = dataclasses.fields(ScenarioConfig)
+
 #: Optional axes added to :class:`ScenarioConfig` after the store
-#: shipped: each group of fields is left out of a config's encoding
-#: while its first field, the switch, is off after :func:`plain`, so
-#: every record -- and every cache key over it -- made before the axis
-#: existed keeps its bytes.
-OPTIONAL_GROUPS = (
-    (("shaper", "shaper_params"), lambda shaper: shaper is None),
-    (("multipath", "flowlet_gap_s", "multipath_shaped"), operator.not_),
+#: shipped, as ``(fields, off)`` from the fields' declared groups (each
+#: named after its first field, the switch): a group is left out of a
+#: config's encoding while its switch equals ``off``, its default, after
+#: :func:`plain`, so every record -- and every cache key over it -- made
+#: before the axis existed keeps its bytes.
+OPTIONAL_GROUPS = tuple(
+    (tuple(f.name for f in _FIELDS if f.metadata["group"] == switch.name), switch.default)
+    for switch in _FIELDS
+    if switch.metadata["group"] == switch.name
 )
 
 
@@ -163,7 +167,7 @@ def config_to_dict(config):
     """
     data = fields_to_dict(config)
     for group, off in OPTIONAL_GROUPS:
-        if off(data.get(group[0])):
+        if data.get(group[0]) == off:
             for name in group:
                 data.pop(name, None)
     return data
@@ -177,7 +181,7 @@ def _compile_config_tables():
     order as ``(name, default, default's fragment, prefix)``, where the
     prefix is the encoded ``"name": ``.
     """
-    fields = sorted(dataclasses.fields(ScenarioConfig), key=operator.attrgetter("name"))
+    fields = sorted(_FIELDS, key=operator.attrgetter("name"))
     tables = {}
     for switches in itertools.product((False, True), repeat=len(OPTIONAL_GROUPS)):
         omitted = {
@@ -211,7 +215,7 @@ def config_json(config):
     if type(config) is not ScenarioConfig:
         return plain_json(config_to_dict(config))
     switches = tuple(
-        not off(plain(getattr(config, group[0]))) for group, off in OPTIONAL_GROUPS
+        plain(getattr(config, group[0])) != off for group, off in OPTIONAL_GROUPS
     )
     parts = []
     for name, default, fragment, prefix in _CONFIG_TABLES[switches]:
@@ -227,11 +231,6 @@ def config_from_dict(data):
     if modulation is not None:
         kwargs["background_modulation"] = tuple(
             tuple(part) if isinstance(part, list) else part for part in modulation
-        )
-    params = kwargs.get("shaper_params")
-    if params is not None:
-        kwargs["shaper_params"] = tuple(
-            tuple(pair) if isinstance(pair, list) else pair for pair in params
         )
     return ScenarioConfig(**kwargs)
 

@@ -14,6 +14,7 @@ from repro.experiments.scenarios import (
     rtt_grid,
     severity_grid,
 )
+from repro.netsim.background import DEFAULT_MODULATION
 from repro.netsim.topology import TopologyConfig
 
 
@@ -150,6 +151,11 @@ class TestScenarioConfig:
         {"multipath": 2, "multipath_shaped": 1.5},
         {"multipath": 2, "flowlet_gap_s": float("nan")},
         {"multipath": 2, "flowlet_gap_s": float("inf")},
+        {"shaper": "red", "shaper_params": (("nope", 1),)},
+        {"shaper": "dual_tbf", "fidelity": "hybrid", "shaper_params": (("max_p", 0.2),)},
+        {"limiter": "perflow", "shaper": "red", "shaper_params": (("nope", 1),)},
+        {"limiter": "perflow", "shaper": "ecn", "shaper_params": (("nope", 1),)},
+        {"limiter": "perflow", "shaper": "tbf", "shaper_params": (("max_p", 0.2),)},
     ])
     def test_rejects_unbuildable_device_knobs(self, knobs):
         # Rejected at construction, with the topology's own message:
@@ -160,6 +166,48 @@ class TestScenarioConfig:
         with pytest.raises(ValueError) as topology_error:
             TopologyConfig(**topology_knobs)
         assert str(scenario_error.value) == str(topology_error.value)
+
+    @pytest.mark.parametrize("knobs", [
+        {"shaper": "red"},
+        {"shaper": "red", "shaper_params": (("max_p", 0.2), ("seed", 3))},
+        {"shaper": "dual_tbf", "fidelity": "hybrid", "shaper_params": (("peak_factor", 3.0),)},
+        {"limiter": "perflow", "shaper": "red", "shaper_params": (("max_p", 0.2),)},
+        {"limiter": "perflow", "shaper": "ecn", "shaper_params": (("max_p", 0.2), ("ecn", False))},
+        {"limiter": "noncommon", "shaper": "codel", "shaper_params": [["target", 0.01]]},
+    ])
+    def test_accepts_shaper_params_the_builder_takes(self, knobs):
+        ScenarioConfig(**knobs)
+
+    def test_misspelt_shaper_param_fails_at_construction(self):
+        # It used to construct and fail mid-run, inside make_qdisc.
+        with pytest.raises(ValueError, match=r"^bad parameters for qdisc 'red': .*'nope'"):
+            ScenarioConfig(shaper="red", shaper_params=(("nope", 1),))
+
+    @pytest.mark.parametrize("modulation", [
+        "x",
+        ((-1.0, 0.3, 0.8),),
+        ((0.2, float("nan"), 0.8),),
+        ((0.2, 0.3, 1.5),),
+        ((0.2, 0.3),),
+        ((float("inf"), 0.3, 0.8),),
+        ((0.2, -0.1, 0.8),),
+        5,
+    ])
+    def test_rejects_out_of_domain_modulation(self, modulation):
+        with pytest.raises(ValueError, match="^background_modulation must be None or"):
+            ScenarioConfig(background_modulation=modulation)
+
+    @pytest.mark.parametrize("modulation", [
+        None,
+        (),
+        DEFAULT_MODULATION,
+        [[0.2, -0.0, 0.8]],
+        ((0.2, 0.0, -1.0), (5.0, 0.3, 1.0)),
+    ])
+    def test_accepts_in_domain_modulation(self, modulation):
+        assert ScenarioConfig(background_modulation=modulation).background_modulation == (
+            modulation
+        )
 
     def test_rtt_sweep_matches_paper(self):
         assert RTT2_SWEEP == (0.010, 0.015, 0.025, 0.035, 0.060, 0.120)

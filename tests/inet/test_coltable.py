@@ -50,11 +50,9 @@ class TestParity:
         row_t, col_t = _pair(("a", "b"))
         for table in (row_t, col_t):
             with pytest.raises(ValueError):
-                table.insert(a=1)
-            with pytest.raises(ValueError):
-                table.insert(a=1, b=2, c=3)
-            with pytest.raises(ValueError):
                 table.extend([{"a": 1}])
+            with pytest.raises(ValueError):
+                table.extend([{"a": 1, "b": 2, "c": 3}])
             with pytest.raises(KeyError):
                 table.column("missing")
 
@@ -197,9 +195,9 @@ class TestColumnarInternals:
 
     def test_materialize_then_append(self):
         table = ColumnarTable("t", ("k", "v"))
-        table.insert(k="a", v=1)
+        table.extend([{"k": "a", "v": 1}])
         table.materialize()
-        table.insert(k="b", v=2)
+        table.extend([{"k": "b", "v": 2}])
         assert _rows(table) == [{"k": "a", "v": 1}, {"k": "b", "v": 2}]
         assert table.array("v").tolist() == [1, 2]
 
@@ -207,14 +205,14 @@ class TestColumnarInternals:
         left = ColumnarTable("l", ("k",))
         left.extend([{"k": "a"}, {"k": "b"}])
         right = ColumnarTable("r", ("k", "y"))
-        right.insert(k="a", y="Y")
+        right.extend([{"k": "a", "y": "Y"}])
         joined = left.join_table(right, on="k", how="left")
         assert joined.array("y").tolist() == ["Y", None]
         assert joined.column("y") == ["Y", None]
 
     def test_renamed_is_a_view(self):
         table = ColumnarTable("t", ("a", "b"))
-        table.insert(a="x", b=1)
+        table.extend([{"a": "x", "b": 1}])
         view = table.renamed({"a": "c"})
         assert view._arrays["c"] is table._arrays["a"]
 
@@ -227,7 +225,7 @@ class TestColumnarInternals:
         joined = left.join_table(right, on="k", how=how)
         assert joined._arrays["v"] is left._arrays["v"]
         assert joined.column("y") == ["B", "A", "B"]
-        right.insert(k="b", y="B2")  # a duplicate match: rows gather
+        right.extend([{"k": "b", "y": "B2"}])  # a duplicate match: rows gather
         joined = left.join_table(right, on="k", how=how)
         assert joined._arrays["v"] is not left._arrays["v"]
         assert joined.column("v") == [1, 1, 2, 3, 3]
@@ -347,7 +345,7 @@ class TestIngestionContract:
         assert len(table) == bad_at
         assert table.column("v") == list(range(bad_at))
         with pytest.raises(ValueError, match=re.escape(message)):
-            table.insert(k="x", w=1)
+            table.extend([{"k": "x", "w": 1}])
         assert len(table) == bad_at
 
     @pytest.mark.parametrize("backend", ["row", "columnar"])
@@ -400,7 +398,7 @@ COLUMN_VALUES = st.one_of(STRINGS, STRINGS, STRINGS, ODD_VALUES)
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("extend"), st.lists(COLUMN_VALUES, max_size=9)),
-        st.tuples(st.just("insert"), st.lists(COLUMN_VALUES, min_size=1, max_size=1)),
+        st.tuples(st.just("row"), st.lists(COLUMN_VALUES, min_size=1, max_size=1)),
         st.tuples(st.just("read"), st.just([])),
     ),
     max_size=8,
@@ -409,7 +407,7 @@ OPS = st.lists(
 
 @given(OPS, st.integers(1, 4))
 def test_streamed_ingestion_matches_buffered_encoding(ops, chunk_rows):
-    """Extends spanning several chunks, inserts and reads in between
+    """Extends spanning several chunks, one-row extends and reads in between
     build the column that encoding each read's values at once builds."""
     table = ColumnarTable("t", ("s", "n"))
     segments = [[]]
@@ -417,8 +415,8 @@ def test_streamed_ingestion_matches_buffered_encoding(ops, chunk_rows):
         for op, values in ops:
             if op == "extend":
                 table.extend({"s": value, "n": 1} for value in values)
-            elif op == "insert":
-                table.insert(s=values[0], n=1)
+            elif op == "row":
+                table.extend([{"s": values[0], "n": 1}])
             else:
                 table.materialize()
                 segments.append([])

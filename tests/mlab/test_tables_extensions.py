@@ -44,7 +44,7 @@ class TestTableExtensions:
 
     def test_materialize_is_a_noop(self):
         table = Table("t", ("a",))
-        table.insert(a=1)
+        table.extend([{"a": 1}])
         table.materialize()
         assert [r["a"] for r in table] == [1]
 

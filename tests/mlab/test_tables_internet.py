@@ -20,40 +20,40 @@ def internet():
 class TestTable:
     def test_schema_enforced(self):
         table = Table("t", ("a", "b"))
-        table.insert(a=1, b=2)
+        table.extend([{"a": 1, "b": 2}])
         with pytest.raises(ValueError):
-            table.insert(a=1)
+            table.extend([{"a": 1}])
         with pytest.raises(ValueError):
-            table.insert(a=1, b=2, c=3)
+            table.extend([{"a": 1, "b": 2, "c": 3}])
 
     def test_scan_with_predicate(self):
         table = Table("t", ("a",))
         for i in range(5):
-            table.insert(a=i)
+            table.extend([{"a": i}])
         assert [r["a"] for r in table.scan(lambda r: r["a"] % 2 == 0)] == [0, 2, 4]
 
     def test_inner_join(self):
         left = Table("l", ("k", "x"))
         right = Table("r", ("k", "y"))
-        left.insert(k=1, x="a")
-        left.insert(k=2, x="b")
-        right.insert(k=1, y="A")
+        left.extend([{"k": 1, "x": "a"}])
+        left.extend([{"k": 2, "x": "b"}])
+        right.extend([{"k": 1, "y": "A"}])
         rows = left.join(right, on="k")
         assert rows == [{"k": 1, "x": "a", "y": "A"}]
 
     def test_left_join_fills_none(self):
         left = Table("l", ("k", "x"))
         right = Table("r", ("k", "y"))
-        left.insert(k=1, x="a")
+        left.extend([{"k": 1, "x": "a"}])
         rows = left.join(right, on="k", how="left")
         assert rows == [{"k": 1, "x": "a", "y": None}]
 
     def test_join_multiplies_matches(self):
         left = Table("l", ("k", "x"))
         right = Table("r", ("k", "y"))
-        left.insert(k=1, x="a")
-        right.insert(k=1, y="A")
-        right.insert(k=1, y="B")
+        left.extend([{"k": 1, "x": "a"}])
+        right.extend([{"k": 1, "y": "A"}])
+        right.extend([{"k": 1, "y": "B"}])
         assert len(left.join(right, on="k")) == 2
 
     def test_rejects_empty_schema(self):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.service.protocol import (
+    ALLOWED_KNOBS,
+    NUMERIC_KNOBS,
     MalformedSubmission,
     Response,
     Status,
@@ -88,6 +90,22 @@ class TestParseSubmission:
         # arbitrary work: everything not listed must be rejected.
         with pytest.raises(MalformedSubmission):
             parse_submission(valid_raw(knobs={"tcp_background_flows": 1000}))
+
+    def test_whitelist_and_wire_types_are_pinned(self):
+        # Both are derived from ScenarioConfig's declarations; a knob
+        # joins the wire only with an edit here too.
+        number = (int, float)
+        assert NUMERIC_KNOBS == {
+            "input_rate_factor": number,
+            "queue_factor": number,
+            "background_share": number,
+            "duration": number,
+            "rtt_1": number,
+            "rtt_2": number,
+            "congestion_factor": number,
+            "seed": int,
+        }
+        assert ALLOWED_KNOBS == {"limiter", *NUMERIC_KNOBS}
 
 
 class TestFraming:

@@ -10,6 +10,7 @@ from repro.store import (
     fault_profile_id,
     wild_cache_key,
 )
+from repro.store.serialize import OPTIONAL_GROUPS
 
 BASE = ScenarioConfig(app="zoom", duration=8.0, seed=0)
 
@@ -38,9 +39,14 @@ FIELD_CHANGES = {
     "multipath_shaped": 1,
 }
 
-#: Knobs only legal alongside ``multipath``; their sensitivity is
-#: checked relative to a multipath base (like shaper_params vs shaper).
-MULTIPATH_DEPENDENT = {"flowlet_gap_s", "multipath_shaped"}
+#: Knobs only legal alongside their optional group's switch (e.g.
+#: ``shaper_params`` with ``shaper``), mapped to that switch: their
+#: sensitivity is checked relative to a base with the switch on.
+SWITCH_OF = {
+    name: group[0] for group, _off in OPTIONAL_GROUPS for name in group[1:]
+}
+#: The multipath group's dependents (test_key_golden builds on them).
+MULTIPATH_DEPENDENT = {name for name, switch in SWITCH_OF.items() if switch == "multipath"}
 
 
 class TestDetectionKeyStability:
@@ -54,17 +60,11 @@ class TestDetectionKeyStability:
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
         assert fields == set(FIELD_CHANGES), "keep FIELD_CHANGES exhaustive"
         for field, value in FIELD_CHANGES.items():
-            if field == "shaper_params":
-                # shaper_params is only legal alongside a shaper; its
-                # sensitivity is relative to the shaped base.
-                shaped_key = detection_cache_key(BASE.with_(shaper="red"))
-                changed = BASE.with_(shaper="red", **{field: value})
-                assert detection_cache_key(changed) != shaped_key, field
-                continue
-            if field in MULTIPATH_DEPENDENT:
-                bundle_key = detection_cache_key(BASE.with_(multipath=2))
-                changed = BASE.with_(multipath=2, **{field: value})
-                assert detection_cache_key(changed) != bundle_key, field
+            switch = SWITCH_OF.get(field)
+            if switch is not None:
+                base = BASE.with_(**{switch: FIELD_CHANGES[switch]})
+                changed = base.with_(**{field: value})
+                assert detection_cache_key(changed) != detection_cache_key(base), field
                 continue
             changed = BASE.with_(**{field: value})
             assert detection_cache_key(changed) != base_key, field

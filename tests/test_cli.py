@@ -171,6 +171,26 @@ class TestShaperArguments:
         assert any(line.startswith("error:") for line in err.splitlines())
         assert cells == []
 
+    def test_misspelt_shaper_param_is_rejected_before_any_cell(
+        self, capsys, monkeypatch
+    ):
+        from repro.parallel import executor
+
+        cells = []
+        monkeypatch.setattr(
+            executor, "run_detection_experiment",
+            lambda config, **kwargs: cells.append(config),
+        )
+        code = main(
+            ["sweep", "--app", "zoom", "--seeds", "2", "--duration", "4",
+             "--jobs", "1", "--shaper", "red", "--shaper-params", "nope=1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad parameters for qdisc 'red': "
+        )
+        assert cells == []
+
     def test_sweep_with_shaper_runs(self, capsys):
         code = main(
             ["sweep", "--app", "zoom", "--limiter", "common", "--seeds", "1",
