@@ -36,9 +36,9 @@ every twin shares:
   twins extend it with the rule mixins of :mod:`repro.netsim.shapers`.
 - :class:`FluidDualClassQdisc` / :class:`FluidPerFlowQdisc` -- the
   classful devices of Appendix C.1 and Section 7, whose ``DEVICE`` and
-  ``FIFO`` hooks swap in the fluid parts.  The registry builds each
-  class-shaper device with the packet mechanism's own builder, bound to
-  the fluid shaper class.
+  ``FIFO`` hooks swap in the fluid parts.  Each twin is registered as a
+  class under its packet mechanism's name, and the registry builds it
+  with that mechanism's sizing rule.
 
 With no fluid source pushing a rate, every twin makes the same
 decisions as its packet device (``tests/netsim/test_fluid_twins.py``).
@@ -71,7 +71,6 @@ for every fluid queue, and ``tests/netsim/test_fluid.py`` plus the
 
 import math
 from collections import deque
-from functools import partial
 
 import numpy as np
 
@@ -81,19 +80,10 @@ from repro.netsim.background import (
     _Ar1Component,
 )
 from repro.netsim.per_flow import PerFlowQdisc
-from repro.netsim.qdisc import register, standard_sizing
+from repro.netsim.qdisc import register
 from repro.netsim.queues import DropTailQueue
-from repro.netsim.shapers import (
-    PeakBucketRules,
-    TriggerRules,
-    _build_conditional_device,
-    _build_dual_tbf_device,
-)
-from repro.netsim.token_bucket import (
-    DualClassQdisc,
-    TokenBucketFilter,
-    _build_tbf_device,
-)
+from repro.netsim.shapers import PeakBucketRules, TriggerRules
+from repro.netsim.token_bucket import DualClassQdisc, TokenBucketFilter
 from repro.obs import metrics as _obs
 
 #: Wire bytes per payload byte for background TCP (MSS 1448 + 52 header).
@@ -665,41 +655,17 @@ def _merge_stats(*parts):
     return merged
 
 
-def _build_fluid_perflow_device(
-    rate_bps,
-    rtt_s=0.035,
-    queue_factor=0.5,
-    fifo_capacity=500_000,
-    shaper="tbf",
-    seed=0,
-    **params,
-):
-    """Fluid twin of the ``"perflow"`` device (tbf buckets only)."""
-    if shaper != "tbf" or params:
-        from repro.netsim.qdisc import QdiscFidelityError
-
-        raise QdiscFidelityError(
-            "fluid per-flow supports only default tbf buckets; "
-            f"shaper={shaper!r} has no fluid per-flow twin"
-        )
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    return FluidPerFlowQdisc(rate_bps, burst, limit, fifo_capacity=fifo_capacity)
-
-
-# Attach the fluid halves to the mechanisms registered elsewhere: each
-# class-shaper mechanism reuses its packet device builder, bound to the
-# fluid shaper class.  The AQMs (red/ecn/codel/pie) deliberately have
-# none: their drop processes depend on instantaneous queue state in a
-# way the closed-form fluid integration cannot reproduce, so make_qdisc
-# raises QdiscFidelityError for them under fidelity="hybrid".
+# Attach the fluid twins to the mechanisms registered elsewhere: each
+# is built with its packet mechanism's sizing rule.  The AQMs
+# (red/ecn/codel/pie) deliberately have none: their drop processes
+# depend on instantaneous queue state in a way the closed-form fluid
+# integration cannot reproduce, so make_qdisc raises QdiscFidelityError
+# for them under fidelity="hybrid".
 register("droptail", fluid=FluidDropTailQueue)
-register("tbf", fluid=partial(_build_tbf_device, FluidTokenBucketFilter))
-register("perflow", fluid=_build_fluid_perflow_device)
-register("dual_tbf", fluid=partial(_build_dual_tbf_device, FluidDualTokenBucketFilter))
-register(
-    "conditional",
-    fluid=partial(_build_conditional_device, FluidConditionalTokenBucket),
-)
+register("tbf", fluid=FluidTokenBucketFilter)
+register("perflow", fluid=FluidPerFlowQdisc)
+register("dual_tbf", fluid=FluidDualTokenBucketFilter)
+register("conditional", fluid=FluidConditionalTokenBucket)
 
 
 # -- fluid background sources ---------------------------------------

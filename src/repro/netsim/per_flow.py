@@ -34,7 +34,7 @@ class PerFlowQdisc(Qdisc):
             bucket (default: a :class:`TokenBucketFilter` with this
             qdisc's rate/burst/limit).  This is how the registry
             composes per-flow placement with any class-shaper
-            mechanism (see :func:`repro.netsim.qdisc.class_shaper_factory`).
+            mechanism (see :func:`repro.netsim.qdisc.build_device`).
 
     ``FIFO`` names the class of the non-throttled queue; the fluid twin
     (:class:`~repro.netsim.fluid.FluidPerFlowQdisc`) swaps in its own.
@@ -143,33 +143,9 @@ def _default_flow_key(packet):
     return packet.flow_id
 
 
-def _build_perflow_device(
-    rate_bps,
-    rtt_s=0.035,
-    queue_factor=0.5,
-    fifo_capacity=500_000,
-    shaper="tbf",
-    seed=0,
-    **params,
-):
-    """Per-flow limiter with the paper's burst = rate x RTT convention.
-
-    ``shaper`` selects the mechanism of each per-flow bucket -- per-flow
-    placement composes with any registered class shaper.
-    """
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    if shaper == "tbf" and not params:
-        return PerFlowQdisc(rate_bps, burst, limit, fifo_capacity=fifo_capacity)
-    from repro.netsim.qdisc import class_shaper_factory
-
-    factory = class_shaper_factory(shaper, rate_bps, burst, limit, seed=seed, **params)
-    return PerFlowQdisc(
-        rate_bps, burst, limit, fifo_capacity=fifo_capacity, bucket_factory=factory
-    )
-
-
 register(
     "perflow",
-    packet=_build_perflow_device,
+    packet=PerFlowQdisc,
+    sizing=standard_sizing,
     doc="per-flow buckets for dscp=1 traffic (Section-7 limitation device)",
 )

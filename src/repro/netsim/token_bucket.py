@@ -15,8 +15,6 @@ whether the device behaves as a policer (small limit, drops) or a shaper
 (large limit, delays).
 """
 
-from functools import partial
-
 from repro.netsim.qdisc import Qdisc, register, standard_sizing
 from repro.netsim.queues import DropTailQueue
 from repro.obs import metrics as _obs
@@ -97,9 +95,10 @@ class TokenBucketFilter(Qdisc):
     queue full are dropped -- with a small ``limit_bytes`` this is
     exactly a policer.
 
-    ``DEVICE`` and ``FIFO`` name the classes :func:`class_device` wraps
-    this shaper in; fluid twins (:mod:`repro.netsim.fluid`) override
-    them, so one device builder serves both fidelities.
+    ``DEVICE`` and ``FIFO`` name the classes
+    :func:`~repro.netsim.qdisc.build_device` wraps this shaper in; fluid
+    twins (:mod:`repro.netsim.fluid`) override them, so one device
+    builder serves both fidelities.
     """
 
     __slots__ = ("rate_bps", "burst_bytes", "_queue", "_tokens", "_last_update")
@@ -193,28 +192,9 @@ class TokenBucketFilter(Qdisc):
         return None, wake
 
 
-def class_device(shaper, fifo_capacity):
-    """The Appendix-C.1 device around ``shaper``, at the shaper's fidelity."""
-    return shaper.DEVICE(shaper, shaper.FIFO(fifo_capacity))
-
-
-def _build_tbf_device(
-    shaper_cls, rate_bps, rtt_s=0.035, queue_factor=0.5, fifo_capacity=500_000
-):
-    """Build the paper's standard rate limiter around ``shaper_cls``.
-
-    ``burst = rate x RTT`` (so the throttling rate is achieved on
-    average), and the TBF queue size is ``queue_factor x burst``
-    (0.25/0.5/1 in Table 2; smaller is more policer-like, larger more
-    shaper-like).  The registry binds ``shaper_cls`` per fidelity.
-    """
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    return class_device(shaper_cls(rate_bps, burst, limit), fifo_capacity)
-
-
 register(
     "tbf",
-    packet=partial(_build_tbf_device, TokenBucketFilter),
-    shaper=TokenBucketFilter,
+    packet=TokenBucketFilter,
+    sizing=standard_sizing,
     doc="single-rate token-bucket policer/shaper (Appendix C.1 device)",
 )

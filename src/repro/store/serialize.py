@@ -226,13 +226,7 @@ def config_json(config):
 
 def config_from_dict(data):
     """Rebuild a :class:`ScenarioConfig` (inverse of :func:`config_to_dict`)."""
-    kwargs = dict(data)
-    modulation = kwargs.get("background_modulation")
-    if modulation is not None:
-        kwargs["background_modulation"] = tuple(
-            tuple(part) if isinstance(part, list) else part for part in modulation
-        )
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**data)
 
 
 def record_to_dict(record):

@@ -41,12 +41,23 @@ def reference_checks(config, common_delay_s=COMMON_DELAY_S):
     if config.shaper is not None:
         if config.limiter is None:
             raise ValueError("shaper requires a limiter placement")
-        spec = qdisc_spec(config.shaper)
+        qdisc_spec(config.shaper)
         if config.limiter == "perflow":
-            if spec.shaper is None:
+            # The registry entries without a class shaper, as a literal.
+            if config.shaper in ("droptail", "perflow"):
                 raise ValueError(f"shaper {config.shaper!r} cannot be used per-flow")
             if config.fidelity == "hybrid" and config.shaper != "tbf":
                 raise ValueError(f"fluid per-flow has no {config.shaper!r} twin")
+            # Added when the whole build call was bound: a per-flow
+            # bucket is standard-sized, so the two-rate class lacks its
+            # peak arguments unless shaper_params give them.
+            if config.shaper == "dual_tbf" and not {
+                "peak_rate_bps", "peak_burst_bytes"
+            } <= dict(config.shaper_params).keys():
+                raise ValueError(
+                    "bad parameters for qdisc 'dual_tbf': "
+                    "missing a required argument: 'peak_rate_bps'"
+                )
         elif not supports_fidelity(config.shaper, config.fidelity):
             raise ValueError(
                 f"shaper {config.shaper!r} has no {config.fidelity} "

@@ -53,7 +53,7 @@ def _fold(sha, result):
         sha.update(repr(float(m.rtt)).encode())
 
 
-def cell_digest(app, limiter, fidelity, shaper=None):
+def cell_digest(app, limiter, fidelity, shaper=None, shaper_params=()):
     """SHA-256 of one 5 s detection cell's replay outputs and record."""
     config = ScenarioConfig(
         app=app,
@@ -62,6 +62,7 @@ def cell_digest(app, limiter, fidelity, shaper=None):
         seed=SEED,
         fidelity=fidelity,
         shaper=shaper,
+        shaper_params=shaper_params,
     )
     captured = []
     replay = runner.NetsimReplayService.simultaneous_replay
@@ -147,6 +148,36 @@ GOLDEN_CELLS = {
     ("netflix", "common", "hybrid", "conditional"): (
         "ba2bf2e3d3c1a9b0a52a4a736c585094628dc34bbc770ebb15c2eefe6eadcf43"
     ),
+    # The seeded AQMs: one derived seed on the common device, two on the
+    # noncommon links, one per flow bucket under per-flow placement.
+    ("netflix", "common", "packet", "red"): (
+        "7e6f17844a78c4ca747503d93c91b4ea43e88b3bfa0250599f67d7adba7e2430"
+    ),
+    ("netflix", "common", "packet", "ecn"): (
+        "f448b9897232f27b0aff19f071b9c9616e50d02562676b066201eeaa59270eba"
+    ),
+    ("netflix", "common", "packet", "pie"): (
+        "226960397c05cf008abda8d9c8ce1bd4c30ac80af72bbd6060768511e46c1f95"
+    ),
+    ("netflix", "noncommon", "packet", "red"): (
+        "60c2b23dc2fc0043ad53eba541d8aa4715c720ef49a4d1faf37a08e5889ca9fe"
+    ),
+    ("netflix", "perflow", "packet", "red"): (
+        "1aea858acff26693bde0d84398a0d912a81f9212791e24beed71fe695a2234dd"
+    ),
+    ("netflix", "perflow", "packet", "ecn"): (
+        "e51e5bf9987cb83f75d4d0789bd8984da736b4d4ed13433ed6e8222d419e1b92"
+    ),
+    # One non-default parameter per sizing rule.
+    ("netflix", "common", "packet", "red", (("buffer_s", 0.1),)): (
+        "2b21da18c284b83b4b8072cbf4641e9c6aecb4c3eab86154893dac3f13b469f9"
+    ),
+    ("netflix", "common", "packet", "dual_tbf", (("boost_bytes", 500_000),)): (
+        "85d5b0dbdb0b15567500148a9dbff345280866aaee18d2b18c98e6628cea96c1"
+    ),
+    ("netflix", "common", "packet", "conditional", (("trigger_after_s", 2.0),)): (
+        "c8021289850e07d19db4e9b97a83616619928825ce72f56fc339262921e798e7"
+    ),
 }
 
 GOLDEN_WILD = {
@@ -183,9 +214,13 @@ GOLDEN_WILD = {
 }
 
 
-@pytest.mark.parametrize(
-    "cell", list(GOLDEN_CELLS), ids=lambda c: "-".join(str(p) for p in c if p)
-)
+def _cell_id(cell):
+    parts = [str(p) for p in cell[:4] if p]
+    parts += [f"{name}={value}" for name, value in (cell[4] if len(cell) > 4 else ())]
+    return "-".join(parts)
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_CELLS), ids=_cell_id)
 def test_detection_cell_digest(cell):
     assert cell_digest(*cell) == GOLDEN_CELLS[cell]
 

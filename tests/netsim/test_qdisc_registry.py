@@ -1,12 +1,14 @@
 """Registry and protocol tests for ``repro.netsim.qdisc``."""
 
+import random
+
 import pytest
 
 from repro.netsim import qdisc as qd
 from repro.netsim.packet import DATA, Packet
 from repro.netsim.qdisc import (
+    SEED_STRIDE,
     QdiscFidelityError,
-    class_shaper_factory,
     make_qdisc,
     qdisc_spec,
     register,
@@ -60,14 +62,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown fidelity"):
             supports_fidelity("tbf", "quantum")
 
-    def test_reregistering_a_half_is_an_error(self):
+    def test_reregistering_a_part_is_an_error(self):
         name = "_test_dup"
         try:
-            register(name, packet=lambda: None)
+            register(name, packet=lambda seed=0: None)
             with pytest.raises(ValueError, match="already has a packet"):
                 register(name, packet=lambda: None)
-            # The other halves can still be attached afterwards.
-            register(name, fluid=lambda: None, seeded=True, doc="x")
+            # The other parts can still be attached afterwards.
+            register(name, fluid=lambda: None, sizing=standard_sizing, doc="x")
+            # Seeded is read off the packet class: it takes ``seed``.
             assert qdisc_spec(name).seeded
         finally:
             qd._REGISTRY.pop(name, None)
@@ -118,26 +121,34 @@ class TestMakeQdisc:
         assert device.tbf.max_p == 0.5
 
 
-class TestClassShaperFactory:
-    def test_unseeded_factory_builds_fresh_instances(self):
-        build = class_shaper_factory("tbf", 1e6, 5000, 10_000)
-        a, b = build(), build()
+class TestPerFlowBuckets:
+    """Per-flow buckets build from the mechanism's own registry entry."""
+
+    @staticmethod
+    def _buckets(device, n):
+        for flow in range(n):
+            device.enqueue(packet(flow=f"f{flow}"), 0.0)
+        return list(device._flows.values())
+
+    def test_unseeded_buckets_are_fresh_standard_sized_instances(self):
+        device = make_qdisc("perflow", rate_bps=1e6, shaper="codel", target=0.01)
+        a, b = self._buckets(device, 2)
         assert a is not b
-        assert a.burst_bytes == 5000
+        burst, _ = standard_sizing(1e6, 0.035, 0.5)
+        assert a.burst_bytes == b.burst_bytes == burst
+        assert a.target_s == b.target_s == 0.01
 
-    def test_seeded_factory_derives_distinct_seeds(self):
-        build = class_shaper_factory("red", 1e6, 5000, 100_000, seed=3)
-        a, b = build(), build()
-        # Same construction params, different derived RNG streams.
-        assert a._rng.random() != b._rng.random()
-        # And the derivation is reproducible across factories.
-        again = class_shaper_factory("red", 1e6, 5000, 100_000, seed=3)()
-        c = class_shaper_factory("red", 1e6, 5000, 100_000, seed=3)()
-        assert again._rng.random() == c._rng.random()
+    def test_seeded_buckets_derive_distinct_seeds(self):
+        device = make_qdisc("perflow", rate_bps=1e6, shaper="red", seed=3)
+        buckets = self._buckets(device, 3)
+        for k, bucket in enumerate(buckets):
+            expected = random.Random(3 + SEED_STRIDE * k).random()
+            assert bucket._rng.random() == expected
 
-    def test_droptail_cannot_be_a_class_shaper(self):
-        with pytest.raises(ValueError, match="per-flow bucket"):
-            class_shaper_factory("droptail", 1e6, 5000, 10_000)
+    def test_a_device_cannot_be_a_bucket(self):
+        for name in ("droptail", "perflow"):
+            with pytest.raises(ValueError, match="cannot be used per-flow"):
+                make_qdisc("perflow", rate_bps=1e6, shaper=name)
 
 
 class TestStandardSizing:
