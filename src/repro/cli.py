@@ -404,39 +404,40 @@ def cmd_serve(args):
     from repro.service import (
         ServiceConfig,
         ServiceCore,
-        ServiceServer,
         SweepEngine,
         SyntheticEngine,
+        serve,
     )
 
+    try:
+        config = ServiceConfig(
+            max_queue=args.max_queue, tenant_rate=args.tenant_rate
+        )
+        if args.synthetic:
+            engine = SyntheticEngine(
+                mean_service_s=args.synthetic_service_s, realtime=True
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     store = None
     if args.store:
         from repro.store import ExperimentStore
 
         store = ExperimentStore(args.store)
-    config = ServiceConfig(
-        max_queue=args.max_queue, tenant_rate=args.tenant_rate
-    )
     core = ServiceCore(config, store=store)
-    if args.synthetic:
-        engine = SyntheticEngine(
-            mean_service_s=args.synthetic_service_s, realtime=True
-        )
-    else:
+    if not args.synthetic:
         engine = SweepEngine(store=store, jobs=args.jobs)
 
-    async def run():
-        server = ServiceServer(
-            core, engine, store=store, host=args.host, port=args.port
-        )
-        await server.start()
+    def ready(server):
         print(f"serving on {args.host}:{server.port}", flush=True)
         if server.resumed:
             print(f"resumed {server.resumed} persisted submissions",
                   file=sys.stderr)
-        await server.serve_until_drained()
 
-    asyncio.run(run())
+    asyncio.run(serve(
+        core, engine, store=store, host=args.host, port=args.port, ready=ready
+    ))
     counts = ", ".join(
         f"{status}={n}" for status, n in sorted(core.counts.items()) if n
     )

@@ -22,6 +22,10 @@ from dataclasses import dataclass, field
 
 from repro.service.protocol import MalformedSubmission, Status, parse_submission
 
+#: Virtual cadence of ``core.tick``: it drives deadline expiry, governor
+#: recovery and breaker cooldowns when no traffic arrives.
+TICK_INTERVAL_S = 0.5
+
 
 @dataclass
 class LoadResult:
@@ -67,16 +71,12 @@ class VirtualService:
         core: a fresh :class:`~repro.service.core.ServiceCore`.
         engine: an engine exposing ``outcomes(batch)`` and
             ``duration(batch)`` (i.e. :class:`SyntheticEngine`).
-        tick_interval_s: virtual cadence of ``core.tick`` -- drives
-            deadline expiry, governor recovery, and breaker cooldowns
-            when no traffic arrives.
         chaos: optional :class:`ServiceChaosProfile`.
     """
 
-    def __init__(self, core, engine, tick_interval_s=0.5, chaos=None):
+    def __init__(self, core, engine, chaos=None):
         self.core = core
         self.engine = engine
-        self.tick_interval_s = tick_interval_s
         self.chaos = chaos
 
     def run(self, trace, settle_s=120.0):
@@ -106,7 +106,7 @@ class VirtualService:
             push(t, "arrival", (raw, plan))
             horizon = max(horizon, t)
         result.duration_s = horizon
-        push(self.tick_interval_s, "tick", None)
+        push(TICK_INTERVAL_S, "tick", None)
         deadline_horizon = horizon + settle_s
 
         def dispatch(now):
@@ -153,7 +153,7 @@ class VirtualService:
                 self.core.tick(now)
                 pending = len(self.core.queue) or self.core.inflight
                 if now < horizon or (pending and now < deadline_horizon):
-                    push(now + self.tick_interval_s, "tick", None)
+                    push(now + TICK_INTERVAL_S, "tick", None)
             dispatch(now)
             collect(now)
         return result

@@ -46,9 +46,7 @@ def service_config(tenant_rate=None):
         # p99 under a hot tenant rides on this.
         batch_max=2,
         max_concurrent_batches=4,
-        drr_quantum=8.0,
         recover_dwell_s=1.0,
-        breaker_threshold=3,
         breaker_cooldown_s=10.0,
     )
 

@@ -14,8 +14,9 @@ Designed to stay *predictable under overload*:
 - **Deadlines** -- each submission carries a budget that expires queued
   work without burning a worker and bounds dispatched cells via
   ``cell_timeout``.
-- **Graceful degradation** -- a HEALTHY/DEGRADED/SHEDDING governor with
-  hysteresis, plus a circuit breaker around the executor.
+- **Graceful degradation** -- a HEALTHY/DEGRADED/SHEDDING governor on
+  queue depth with hysteresis, plus a circuit breaker around the
+  executor.
 - **Crash-safe drain** -- ``SIGTERM`` finishes in-flight cells, flushes
   checkpoints, and persists the pending queue to the store ledger; a
   restarted service resumes it.
@@ -33,16 +34,16 @@ Layering (each module imports only downward)::
 The core is sans-IO (explicit ``now`` everywhere), which is what lets
 :mod:`repro.loadgen` replay overload scenarios in virtual time with
 byte-identical admission decisions run-to-run.
+
+A deployment picks seven settings (:class:`ServiceConfig`: queue bound,
+tenant rate and burst, batch size, concurrent batches, recovery dwell,
+breaker cooldown); everything else is a constant in
+:mod:`repro.service.core`.
 """
 
 from repro.service.admission import AdmissionController, RequestTokenBucket
 from repro.service.core import Batch, QueuedRequest, ServiceConfig, ServiceCore
-from repro.service.degradation import (
-    CircuitBreaker,
-    LatencyWindow,
-    OverloadGovernor,
-    ServiceState,
-)
+from repro.service.degradation import CircuitBreaker, OverloadGovernor, ServiceState
 from repro.service.engine import SweepEngine, SyntheticEngine
 from repro.service.fairqueue import DeficitRoundRobin
 from repro.service.protocol import (
@@ -59,7 +60,6 @@ __all__ = [
     "Batch",
     "CircuitBreaker",
     "DeficitRoundRobin",
-    "LatencyWindow",
     "MalformedSubmission",
     "OverloadGovernor",
     "QueuedRequest",

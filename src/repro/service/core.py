@@ -29,6 +29,12 @@ Terminal responses are appended to :attr:`ServiceCore.outbox`; the
 shell drains it after every core call and routes responses by request
 id.  Exactly one terminal response is emitted per submission -- the
 accounting invariant the whole test suite leans on.
+
+Settings: :class:`ServiceConfig` holds the seven a deployment picks and
+checks each on construction; the DRR quantum, the governor's recovery
+fraction and trip points, the breaker threshold and the memo size are
+fixed (the constants below, the trip points derived from
+``max_queue``).  The governor acts on queue depth alone.
 """
 
 from collections import OrderedDict
@@ -36,12 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.obs import metrics as _obs
 from repro.service.admission import AdmissionController
-from repro.service.degradation import (
-    CircuitBreaker,
-    LatencyWindow,
-    OverloadGovernor,
-    ServiceState,
-)
+from repro.service.degradation import CircuitBreaker, OverloadGovernor, ServiceState
 from repro.service.fairqueue import DeficitRoundRobin
 from repro.service.protocol import Response, Status
 from repro.store.keys import detection_cache_key
@@ -56,14 +57,30 @@ STATE_GAUGE = {
 }
 
 
+#: Deficit round-robin quantum: simulated replay seconds per round.
+DRR_QUANTUM_S = 8.0
+#: Recovery needs the queue depth at most this fraction of the trip point.
+RECOVER_FRACTION = 0.5
+#: Consecutive failed batches that open the circuit breaker.
+BREAKER_THRESHOLD = 3
+#: Verdicts the in-memory cache keeps (least recently used go first).
+MEMO_SIZE = 1024
+
+
+def _check(ok, name, value, domain):
+    if not ok:
+        raise ValueError(f"ServiceConfig.{name} must be {domain}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """All tuning knobs of the service core, with smoke-test defaults.
+    """The settings a deployment picks, with smoke-test defaults.
 
-    ``degraded_queue`` / ``shed_queue`` default to 50% / 85% of
-    ``max_queue`` so the governor always trips strictly before
-    admission's hard bound -- degradation is meant to be the *soft*
-    envelope inside the hard one.
+    Every field is checked on construction, so a bad value never
+    reaches a request.  The governor trips at 50% (DEGRADED) and 85%
+    (SHEDDING) of ``max_queue``, so it always trips strictly before
+    admission's hard bound -- degradation is the *soft* envelope inside
+    the hard one.
     """
 
     max_queue: int = 64
@@ -71,27 +88,26 @@ class ServiceConfig:
     tenant_burst: float = 8.0
     batch_max: int = 4  # cells per dispatched batch
     max_concurrent_batches: int = 2
-    drr_quantum: float = 8.0  # simulated replay seconds per round
-    degraded_queue: int = None
-    shed_queue: int = None
-    degraded_p99_s: float = None
-    shed_p99_s: float = None
-    recover_fraction: float = 0.5
     recover_dwell_s: float = 2.0
-    breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    latency_window: int = 128
-    memo_size: int = 1024  # in-memory verdict cache entries
 
-    def resolved_degraded_queue(self):
-        if self.degraded_queue is not None:
-            return self.degraded_queue
-        return max(1, self.max_queue // 2)
-
-    def resolved_shed_queue(self):
-        if self.shed_queue is not None:
-            return self.shed_queue
-        return max(self.resolved_degraded_queue(), (self.max_queue * 17) // 20)
+    def __post_init__(self):
+        for name in ("max_queue", "batch_max", "max_concurrent_batches"):
+            value = getattr(self, name)
+            _check(
+                isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+                name, value, "an integer >= 1",
+            )
+        rate = self.tenant_rate
+        _check(rate is None or 0.0 < rate < _INF, "tenant_rate", rate,
+               "positive and finite, or None (uncapped)")
+        # A bucket below one token never admits a request.
+        _check(1.0 <= self.tenant_burst < _INF, "tenant_burst",
+               self.tenant_burst, "finite and >= 1")
+        _check(0.0 <= self.recover_dwell_s < _INF, "recover_dwell_s",
+               self.recover_dwell_s, "finite and >= 0")
+        _check(0.0 < self.breaker_cooldown_s < _INF, "breaker_cooldown_s",
+               self.breaker_cooldown_s, "positive and finite")
 
 
 @dataclass
@@ -148,20 +164,16 @@ class ServiceCore:
             tenant_rate=self.config.tenant_rate,
             tenant_burst=self.config.tenant_burst,
         )
-        self.queue = DeficitRoundRobin(quantum=self.config.drr_quantum)
+        self.queue = DeficitRoundRobin(quantum=DRR_QUANTUM_S)
+        max_queue = self.config.max_queue
+        degraded_queue = max(1, max_queue // 2)
         self.governor = OverloadGovernor(
-            self.config.resolved_degraded_queue(),
-            self.config.resolved_shed_queue(),
-            degraded_p99_s=self.config.degraded_p99_s,
-            shed_p99_s=self.config.shed_p99_s,
-            recover_fraction=self.config.recover_fraction,
-            recover_dwell_s=self.config.recover_dwell_s,
+            degraded_queue,
+            max(degraded_queue, (max_queue * 17) // 20),
+            RECOVER_FRACTION,
+            self.config.recover_dwell_s,
         )
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-        )
-        self.latency = LatencyWindow(self.config.latency_window)
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, self.config.breaker_cooldown_s)
         self.outbox = []  # terminal Responses awaiting the shell
         self.decision_log = []  # (request_id, tenant, decision, detail)
         self.counts = {status: 0 for status in (
@@ -212,7 +224,7 @@ class ServiceCore:
     def _memo_put(self, key, payload):
         self._memo[key] = payload
         self._memo.move_to_end(key)
-        while len(self._memo) > self.config.memo_size:
+        while len(self._memo) > MEMO_SIZE:
             self._memo.popitem(last=False)
 
     # -- ingress --------------------------------------------------------
@@ -385,7 +397,6 @@ class ServiceCore:
                         queued_s=queued_s, service_s=service_s,
                     ))
                     continue
-                self.latency.observe(now - request.admitted_at)
                 self._respond(Response(
                     id=request.id, status=Status.VERDICT,
                     tenant=request.tenant, state=self.governor.state,
@@ -418,9 +429,7 @@ class ServiceCore:
     def tick(self, now):
         """Sweep deadlines, advance the governor, publish gauges."""
         self.expire(now)
-        state = self.governor.update(
-            now, len(self.queue), self.latency.quantile(0.99)
-        )
+        state = self.governor.update(now, len(self.queue))
         if _obs.ENABLED:
             _obs.SINK.set_gauge("service.state", STATE_GAUGE[state])
             _obs.SINK.set_gauge("service.queue_depth", len(self.queue))

@@ -2,14 +2,14 @@
 
 Two independent protective loops:
 
-- :class:`OverloadGovernor` watches *load* (queue depth, p99 end-to-end
-  latency) and walks HEALTHY -> DEGRADED -> SHEDDING.  DEGRADED serves
-  store/memo cache hits only (fresh work is rejected); SHEDDING rejects
-  all new work while in-flight cells drain.  Up-transitions fire
-  immediately (overload must not wait out a dwell timer); recovery
-  requires the pressure to fall below a *fraction* of the trip
-  threshold **and** stay there for a dwell period -- hysteresis, so the
-  service cannot flap at a threshold boundary.
+- :class:`OverloadGovernor` watches *load* (the queue depth) and walks
+  HEALTHY -> DEGRADED -> SHEDDING.  DEGRADED serves store/memo cache
+  hits only (fresh work is rejected); SHEDDING rejects all new work
+  while in-flight cells drain.  Up-transitions fire immediately
+  (overload must not wait out a dwell timer); recovery requires the
+  depth to fall to a *fraction* of the trip point **and** stay there
+  for a dwell period -- hysteresis, so the service cannot flap at a
+  threshold boundary.
 - :class:`CircuitBreaker` watches the *executor* (repeated batch
   failures / quarantined cells trip it OPEN), halts dispatch for a
   cooldown, then HALF_OPEN probes with a single batch before closing.
@@ -18,11 +18,9 @@ Two independent protective loops:
 
 Both are sans-IO: every method takes an explicit ``now``, no wall clock
 is read, so the virtual-time load generator exercises exactly the
-transitions a production deployment would see.
+transitions a production deployment would see.  Their settings come
+from :mod:`repro.service.core` (``ServiceConfig`` and its constants).
 """
-
-from bisect import insort
-from collections import deque
 
 
 class ServiceState:
@@ -40,126 +38,61 @@ _STATE_ORDER = {
 }
 
 
-class LatencyWindow:
-    """Rolling window of the last ``size`` latency samples with quantiles.
-
-    Maintains a sorted shadow of the window so ``quantile`` is O(log n)
-    per insert and O(1) per query -- cheap enough to run on every
-    governor tick.
-    """
-
-    def __init__(self, size=128):
-        if size < 1:
-            raise ValueError("window size must be >= 1")
-        self.size = size
-        self._window = deque()
-        self._sorted = []
-
-    def __len__(self):
-        return len(self._window)
-
-    def observe(self, value):
-        value = float(value)
-        self._window.append(value)
-        insort(self._sorted, value)
-        if len(self._window) > self.size:
-            old = self._window.popleft()
-            # Remove one instance of the evicted value from the shadow.
-            index = self._index_of(old)
-            del self._sorted[index]
-
-    def _index_of(self, value):
-        from bisect import bisect_left
-
-        return bisect_left(self._sorted, value)
-
-    def quantile(self, q):
-        """The q-quantile (nearest-rank) of the window; 0.0 when empty."""
-        if not self._sorted:
-            return 0.0
-        rank = min(len(self._sorted) - 1, int(q * len(self._sorted)))
-        return self._sorted[rank]
-
-
 class OverloadGovernor:
     """The HEALTHY / DEGRADED / SHEDDING state machine.
 
     Parameters:
         degraded_queue / shed_queue: queue-depth trip points.
-        degraded_p99_s / shed_p99_s: p99-latency trip points (None
-            disables the latency criterion).
-        recover_fraction: recovery requires pressure below
+        recover_fraction: recovery requires a depth at most
             ``fraction * trip`` (hysteresis width).
         recover_dwell_s: recovery requires the low-pressure condition
             to hold this long (flap damping).
     """
 
-    def __init__(
-        self,
-        degraded_queue,
-        shed_queue,
-        degraded_p99_s=None,
-        shed_p99_s=None,
-        recover_fraction=0.5,
-        recover_dwell_s=2.0,
-    ):
+    def __init__(self, degraded_queue, shed_queue, recover_fraction, recover_dwell_s):
         if shed_queue < degraded_queue:
             raise ValueError("shed_queue must be >= degraded_queue")
         if not 0.0 < recover_fraction <= 1.0:
             raise ValueError("recover_fraction must be in (0, 1]")
         self.degraded_queue = degraded_queue
         self.shed_queue = shed_queue
-        self.degraded_p99_s = degraded_p99_s
-        self.shed_p99_s = shed_p99_s
         self.recover_fraction = recover_fraction
         self.recover_dwell_s = recover_dwell_s
         self.state = ServiceState.HEALTHY
         self.transitions = []  # (now, from, to, reason)
         self._calm_since = None  # start of the current low-pressure streak
 
-    def _target_state(self, queue_depth, p99_s):
+    def _target_state(self, queue_depth):
         """The state current pressure *demands* (ignoring hysteresis)."""
-        if queue_depth >= self.shed_queue or (
-            self.shed_p99_s is not None and p99_s >= self.shed_p99_s
-        ):
+        if queue_depth >= self.shed_queue:
             return ServiceState.SHEDDING
-        if queue_depth >= self.degraded_queue or (
-            self.degraded_p99_s is not None and p99_s >= self.degraded_p99_s
-        ):
+        if queue_depth >= self.degraded_queue:
             return ServiceState.DEGRADED
         return ServiceState.HEALTHY
 
-    def _calm(self, queue_depth, p99_s):
+    def _calm(self, queue_depth):
         """Pressure low enough to *recover* from the current state."""
-        if self.state == ServiceState.SHEDDING:
-            queue_trip, p99_trip = self.shed_queue, self.shed_p99_s
-        else:
-            queue_trip, p99_trip = self.degraded_queue, self.degraded_p99_s
-        if queue_depth > self.recover_fraction * queue_trip:
-            return False
-        if p99_trip is not None and p99_s > self.recover_fraction * p99_trip:
-            return False
-        return True
+        shedding = self.state == ServiceState.SHEDDING
+        trip = self.shed_queue if shedding else self.degraded_queue
+        return queue_depth <= self.recover_fraction * trip
 
     def _move(self, now, new_state, reason):
         self.transitions.append((now, self.state, new_state, reason))
         self.state = new_state
         self._calm_since = None
 
-    def update(self, now, queue_depth, p99_s):
+    def update(self, now, queue_depth):
         """Advance the machine one tick; returns the (possibly new) state."""
-        target = self._target_state(queue_depth, p99_s)
+        target = self._target_state(queue_depth)
         if _STATE_ORDER[target] > _STATE_ORDER[self.state]:
             # Escalation is immediate -- overload does not wait.
-            self._move(
-                now, target, f"queue={queue_depth} p99={p99_s:.3f}"
-            )
+            self._move(now, target, f"queue={queue_depth}")
             return self.state
         if self.state == ServiceState.HEALTHY:
             self._calm_since = None
             return self.state
         # Recovery: one step down per dwell period, and only while calm.
-        if not self._calm(queue_depth, p99_s):
+        if not self._calm(queue_depth):
             self._calm_since = None
             return self.state
         if self._calm_since is None:
@@ -189,7 +122,7 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, threshold=3, cooldown_s=30.0):
+    def __init__(self, threshold, cooldown_s):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         if cooldown_s <= 0:

@@ -32,6 +32,10 @@ from repro.faults.chaos import uniform_draw
 #: ``mean_service_s`` on average; longer replays cost proportionally.
 REFERENCE_DURATION_S = 8.0
 
+#: Supervision retry budget per cell under :class:`SweepEngine`; a cell
+#: past it is quarantined and its request gets ``FAILED``.
+MAX_CELL_RETRIES = 1
+
 
 class SweepEngine:
     """The production engine: batches become detection sweeps.
@@ -42,13 +46,11 @@ class SweepEngine:
             the cache inside :func:`run_sweep` itself.
         jobs: worker processes per batch (cells within a batch run in
             parallel under the supervised executor).
-        max_cell_retries: supervision retry budget per cell.
     """
 
-    def __init__(self, store=None, jobs=1, max_cell_retries=1):
+    def __init__(self, store=None, jobs=1):
         self.store = store
         self.jobs = jobs
-        self.max_cell_retries = max_cell_retries
 
     def run(self, batch):
         from repro.api import SweepRequest, run_sweep
@@ -62,7 +64,7 @@ class SweepEngine:
                     jobs=self.jobs,
                     store=self.store,
                     cell_timeout=batch.cell_timeout,
-                    max_cell_retries=self.max_cell_retries,
+                    max_cell_retries=MAX_CELL_RETRIES,
                 )
             )
         except Exception as exc:
@@ -88,32 +90,18 @@ class SyntheticEngine:
     simulated duration and a deterministic uniform factor in
     ``[1 - jitter, 1 + jitter]``; batch duration is the max over the
     batch (cells run in parallel, like ``jobs >= batch`` under the real
-    engine) or the sum with ``parallel=False``.
-
-    ``fail`` injects deterministic engine failures (the circuit
-    breaker's food); ``realtime=True`` makes :meth:`run` actually sleep
-    for the computed duration, for wall-clock server tests.
+    engine).  Every cell succeeds.  ``realtime=True`` makes :meth:`run`
+    actually sleep for the computed duration, for wall-clock server
+    tests.
     """
 
-    def __init__(
-        self,
-        mean_service_s=0.5,
-        jitter=0.5,
-        parallel=True,
-        fail=0.0,
-        seed=0,
-        realtime=False,
-    ):
+    def __init__(self, mean_service_s=0.5, jitter=0.5, seed=0, realtime=False):
         if mean_service_s <= 0:
             raise ValueError("mean_service_s must be positive")
         if not 0.0 <= jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if not 0.0 <= fail <= 1.0:
-            raise ValueError("fail probability must be in [0, 1]")
         self.mean_service_s = mean_service_s
         self.jitter = jitter
-        self.parallel = parallel
-        self.fail = fail
         self.seed = seed
         self.realtime = realtime
 
@@ -129,20 +117,11 @@ class SyntheticEngine:
 
     def duration(self, batch):
         """Wall-clock seconds the whole batch takes."""
-        times = [self.cell_time(request) for request in batch.requests]
-        return max(times) if self.parallel else sum(times)
-
-    def _fails(self, request):
-        return self.fail and uniform_draw(
-            self.seed, "fail", request.id
-        ) < self.fail
+        return max(self.cell_time(request) for request in batch.requests)
 
     def outcomes(self, batch):
         results = []
         for request in batch.requests:
-            if self._fails(request):
-                results.append(("failed", "injected synthetic engine failure"))
-                continue
             scenario = request.scenario
             detected = scenario.limiter in ("common", "perflow")
             results.append(

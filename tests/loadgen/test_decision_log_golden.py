@@ -54,8 +54,8 @@ def _sha(obj):
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
-def run_digests(case):
-    """``(decision-log digest, response-stream digest)`` of one case.
+def run_case(case):
+    """``(LoadResult, ServiceCore)`` of one case.
 
     The run is :func:`repro.loadgen.scenarios.run_scenario`'s, with
     the deadline override applied to every tenant.
@@ -67,7 +67,12 @@ def run_digests(case):
     trace = generate_trace(tenants, DURATION_S, SEED, rate_fn=rate_fn)
     core = ServiceCore(config)
     engine = SyntheticEngine(mean_service_s=MEAN_SERVICE_S, jitter=0.4, seed=SEED)
-    result = VirtualService(core, engine, chaos=chaos).run(trace)
+    return VirtualService(core, engine, chaos=chaos).run(trace), core
+
+
+def run_digests(case):
+    """``(decision-log digest, response-stream digest)`` of one case."""
+    result, core = run_case(case)
     responses = [
         (when, response.id, response.status, response.reason, response.cached, delivered)
         for when, response, delivered in result.completions

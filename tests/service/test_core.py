@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.scenarios import ScenarioConfig
 from repro.service import protocol
-from repro.service.core import ServiceConfig, ServiceCore
+from repro.service.core import BREAKER_THRESHOLD, ServiceConfig, ServiceCore
 from repro.service.degradation import CircuitBreaker, ServiceState
 from repro.service.protocol import Status, parse_submission
 
@@ -27,8 +27,7 @@ def submission(**overrides):
 def config(**overrides):
     kwargs = dict(
         max_queue=8, batch_max=2, max_concurrent_batches=2,
-        degraded_queue=4, shed_queue=6,
-        breaker_threshold=2, breaker_cooldown_s=10.0,
+        breaker_cooldown_s=10.0,
     )
     kwargs.update(overrides)
     return ServiceConfig(**kwargs)
@@ -96,7 +95,7 @@ class TestRejections:
 
     def test_shedding_rejects_fresh_misses(self):
         core = ServiceCore(config())
-        core.governor.update(0.0, 10, 0.0)
+        core.governor.update(0.0, 10)
         assert core.governor.state == ServiceState.SHEDDING
         core.submit(submission(), now=0.0)
         (resp,) = core.take_responses()
@@ -111,7 +110,7 @@ class TestRejections:
         batch = core.next_batch(now=0.0)
         core.batch_done(batch, ok_outcomes(batch), now=0.1)
         core.take_responses()
-        core.governor.update(1.0, 5, 0.0)
+        core.governor.update(1.0, 5)
         assert core.governor.state == ServiceState.DEGRADED
         # Cache hit: a VERDICT even while degraded.
         core.submit(submission(client="c2"), now=1.0)
@@ -203,14 +202,14 @@ class TestDeadlines:
 
 class TestBreaker:
     def test_engine_failures_trip_and_block_dispatch(self):
-        core = ServiceCore(config(breaker_threshold=2, batch_max=1))
-        for seed in range(3):
+        core = ServiceCore(config(batch_max=1))
+        for seed in range(BREAKER_THRESHOLD + 1):
             core.submit(submission(knobs={"seed": seed}), now=0.0)
-        for _ in range(2):
+        for _ in range(BREAKER_THRESHOLD):
             batch = core.next_batch(now=0.0)
             core.batch_failed(batch, "engine blew up", now=0.5)
         responses = core.take_responses()
-        assert [r.status for r in responses] == [Status.FAILED, Status.FAILED]
+        assert [r.status for r in responses] == [Status.FAILED] * BREAKER_THRESHOLD
         assert core.breaker.state == CircuitBreaker.OPEN
         assert core.next_batch(now=1.0) is None  # blocked, work stays queued
         assert len(core.queue) == 1
@@ -339,7 +338,7 @@ class TestObservability:
             batch = core.next_batch(now=0.0)
             assert sink.gauges["service.inflight"] == 1.0
             core.batch_done(batch, ok_outcomes(batch), now=0.5)
-            core.governor.update(1.0, 10, 0.0)  # force SHEDDING
+            core.governor.update(1.0, 10)  # force SHEDDING
             core.submit(submission(knobs={"seed": 9}), now=1.0)
             core.tick(now=1.0)
         assert sink.counters["service.responses.VERDICT"] == 1
@@ -347,3 +346,56 @@ class TestObservability:
         assert sink.counters["service.rejected.shedding"] == 1
         assert sink.gauges["service.state"] == 2.0
         assert sink.counters["service.batches"] == 1
+
+
+class TestServiceConfig:
+    """Each setting is checked when the config is built, not mid-run."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_queue", 0),
+        ("max_queue", -1),
+        ("max_queue", 8.0),
+        ("max_queue", True),
+        ("tenant_rate", 0.0),
+        ("tenant_rate", -1.0),
+        ("tenant_rate", float("nan")),
+        ("tenant_rate", float("inf")),
+        ("tenant_burst", 0.5),
+        ("tenant_burst", float("nan")),
+        ("batch_max", 0),
+        ("batch_max", 2.5),
+        ("max_concurrent_batches", 0),
+        ("recover_dwell_s", -0.1),
+        ("recover_dwell_s", float("nan")),
+        ("breaker_cooldown_s", 0.0),
+        ("breaker_cooldown_s", float("inf")),
+    ])
+    def test_bad_value_raises_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"ServiceConfig.{field} must be"):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_queue", 1),
+        ("tenant_rate", None),
+        ("tenant_rate", 1e-9),
+        ("tenant_rate", 2),
+        ("tenant_burst", 1.0),
+        ("batch_max", 1),
+        ("max_concurrent_batches", 1),
+        ("recover_dwell_s", 0.0),
+        ("breaker_cooldown_s", 1e-6),
+    ])
+    def test_edge_of_domain_constructs_and_serves(self, field, value):
+        core = ServiceCore(ServiceConfig(**{field: value}))
+        core.submit(submission(), now=0.0)
+        batch = core.next_batch(now=0.0)
+        core.batch_done(batch, ok_outcomes(batch), now=0.5)
+        (resp,) = core.take_responses()
+        assert resp.status == Status.VERDICT
+
+    @pytest.mark.parametrize("max_queue, trips", [
+        (1, (1, 1)), (2, (1, 1)), (8, (4, 6)), (48, (24, 40)), (64, (32, 54)),
+    ])
+    def test_governor_trips_at_half_and_85_percent_of_the_queue(self, max_queue, trips):
+        governor = ServiceCore(ServiceConfig(max_queue=max_queue)).governor
+        assert (governor.degraded_queue, governor.shed_queue) == trips

@@ -2,33 +2,7 @@
 
 import pytest
 
-from repro.service.degradation import (
-    CircuitBreaker,
-    LatencyWindow,
-    OverloadGovernor,
-    ServiceState,
-)
-
-
-class TestLatencyWindow:
-    def test_quantiles_over_rolling_window(self):
-        window = LatencyWindow(size=4)
-        assert window.quantile(0.99) == 0.0
-        for value in (1.0, 2.0, 3.0, 4.0):
-            window.observe(value)
-        assert window.quantile(0.0) == 1.0
-        assert window.quantile(0.99) == 4.0
-        # Evicts the oldest (1.0): max stays, min moves.
-        window.observe(0.5)
-        assert window.quantile(0.0) == 0.5
-        assert len(window) == 4
-
-    def test_duplicate_values_evict_one_instance(self):
-        window = LatencyWindow(size=2)
-        window.observe(7.0)
-        window.observe(7.0)
-        window.observe(1.0)
-        assert window.quantile(0.99) == 7.0
+from repro.service.degradation import CircuitBreaker, OverloadGovernor, ServiceState
 
 
 def governor(**overrides):
@@ -43,69 +17,62 @@ def governor(**overrides):
 class TestOverloadGovernor:
     def test_escalation_is_immediate(self):
         gov = governor()
-        assert gov.update(0.0, 0, 0.0) == ServiceState.HEALTHY
-        assert gov.update(1.0, 10, 0.0) == ServiceState.DEGRADED
-        assert gov.update(1.1, 20, 0.0) == ServiceState.SHEDDING
+        assert gov.update(0.0, 0) == ServiceState.HEALTHY
+        assert gov.update(1.0, 10) == ServiceState.DEGRADED
+        assert gov.update(1.1, 20) == ServiceState.SHEDDING
 
     def test_healthy_to_shedding_skips_degraded(self):
         gov = governor()
-        assert gov.update(0.0, 25, 0.0) == ServiceState.SHEDDING
+        assert gov.update(0.0, 25) == ServiceState.SHEDDING
 
     def test_recovery_needs_calm_plus_dwell(self):
         gov = governor()
-        gov.update(0.0, 12, 0.0)
+        gov.update(0.0, 12)
         assert gov.state == ServiceState.DEGRADED
         # Below trip but above recover_fraction * trip: not calm.
-        assert gov.update(1.0, 8, 0.0) == ServiceState.DEGRADED
+        assert gov.update(1.0, 8) == ServiceState.DEGRADED
         # Calm (5 <= 0.5*10) but dwell not yet served.
-        assert gov.update(2.0, 5, 0.0) == ServiceState.DEGRADED
-        assert gov.update(3.0, 5, 0.0) == ServiceState.DEGRADED
+        assert gov.update(2.0, 5) == ServiceState.DEGRADED
+        assert gov.update(3.0, 5) == ServiceState.DEGRADED
         # Dwell complete.
-        assert gov.update(4.0, 5, 0.0) == ServiceState.HEALTHY
+        assert gov.update(4.0, 5) == ServiceState.HEALTHY
 
     def test_pressure_spike_resets_the_dwell(self):
         gov = governor()
-        gov.update(0.0, 12, 0.0)
-        gov.update(1.0, 4, 0.0)  # calm streak starts
-        gov.update(2.0, 8, 0.0)  # not calm: streak broken
-        gov.update(3.0, 4, 0.0)  # streak restarts
-        assert gov.update(4.0, 4, 0.0) == ServiceState.DEGRADED
-        assert gov.update(5.5, 4, 0.0) == ServiceState.HEALTHY
+        gov.update(0.0, 12)
+        gov.update(1.0, 4)  # calm streak starts
+        gov.update(2.0, 8)  # not calm: streak broken
+        gov.update(3.0, 4)  # streak restarts
+        assert gov.update(4.0, 4) == ServiceState.DEGRADED
+        assert gov.update(5.5, 4) == ServiceState.HEALTHY
 
     def test_recovery_steps_down_one_state_per_dwell(self):
         gov = governor()
-        gov.update(0.0, 30, 0.0)
+        gov.update(0.0, 30)
         assert gov.state == ServiceState.SHEDDING
-        gov.update(1.0, 0, 0.0)
-        assert gov.update(3.0, 0, 0.0) == ServiceState.DEGRADED
+        gov.update(1.0, 0)
+        assert gov.update(3.0, 0) == ServiceState.DEGRADED
         # Another full dwell for the second step: the calm streak
         # restarts when the state changes (at t=3.0 -> observed t=4.0).
-        assert gov.update(4.0, 0, 0.0) == ServiceState.DEGRADED
-        assert gov.update(5.5, 0, 0.0) == ServiceState.DEGRADED
-        assert gov.update(6.5, 0, 0.0) == ServiceState.HEALTHY
-
-    def test_p99_criterion_trips_without_queue_depth(self):
-        gov = governor(degraded_p99_s=1.0, shed_p99_s=5.0)
-        assert gov.update(0.0, 0, 1.2) == ServiceState.DEGRADED
-        assert gov.update(0.5, 0, 6.0) == ServiceState.SHEDDING
+        assert gov.update(4.0, 0) == ServiceState.DEGRADED
+        assert gov.update(5.5, 0) == ServiceState.DEGRADED
+        assert gov.update(6.5, 0) == ServiceState.HEALTHY
 
     def test_transitions_are_recorded_with_reasons(self):
         gov = governor()
-        gov.update(0.0, 15, 0.0)
-        gov.update(1.0, 0, 0.0)
-        gov.update(3.5, 0, 0.0)
-        states = [(old, new) for _t, old, new, _why in gov.transitions]
-        assert states == [
-            (ServiceState.HEALTHY, ServiceState.DEGRADED),
-            (ServiceState.DEGRADED, ServiceState.HEALTHY),
+        gov.update(0.0, 15)
+        gov.update(1.0, 0)
+        gov.update(3.5, 0)
+        assert gov.transitions == [
+            (0.0, ServiceState.HEALTHY, ServiceState.DEGRADED, "queue=15"),
+            (3.5, ServiceState.DEGRADED, ServiceState.HEALTHY, "recovered (queue=0)"),
         ]
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            OverloadGovernor(degraded_queue=10, shed_queue=5)
-        with pytest.raises(ValueError):
-            OverloadGovernor(degraded_queue=1, shed_queue=2,
-                             recover_fraction=0.0)
+        with pytest.raises(ValueError, match="shed_queue"):
+            governor(degraded_queue=10, shed_queue=5)
+        with pytest.raises(ValueError, match="recover_fraction"):
+            governor(recover_fraction=0.0)
 
 
 class TestCircuitBreaker:

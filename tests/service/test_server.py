@@ -4,6 +4,9 @@ import asyncio
 import json
 import time
 
+import pytest
+
+from repro.cli import main
 from repro.service.core import ServiceConfig, ServiceCore
 from repro.service.engine import SyntheticEngine
 from repro.service.protocol import Status, encode_line
@@ -199,3 +202,20 @@ class TestServer:
             writer.close()
 
         asyncio.run(scenario())
+
+
+class TestServeCommand:
+    """``repro serve`` refuses a bad setting before it listens."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--tenant-rate", "0"], "tenant_rate"),
+        (["--tenant-rate", "nan"], "tenant_rate"),
+        (["--max-queue", "0"], "max_queue"),
+        (["--synthetic-service-s", "0"], "mean_service_s"),
+    ])
+    def test_bad_setting_exits_2_without_listening(self, capsys, argv, field):
+        assert main(["serve", "--synthetic", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1
