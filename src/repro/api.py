@@ -44,6 +44,7 @@ Common options on every request:
 import functools
 from dataclasses import dataclass, field
 
+from repro.faults.profile import FaultProfile
 from repro.obs import MetricsSink, use_sink, write_jsonl
 from repro.obs import metrics as _obs
 from repro.parallel.executor import (
@@ -88,6 +89,10 @@ class SweepRequest:
             raise ValueError("cell_timeout must be positive (or None)")
         if self.max_cell_retries < 0:
             raise ValueError("max_cell_retries must be >= 0")
+        if self.jobs is not None and not self.jobs >= 1:
+            raise ValueError(f"jobs must be >= 1 (or None), got {self.jobs!r}")
+        if not self.params.get("cells"):
+            raise ValueError("a sweep needs at least one cell")
 
     @classmethod
     def detection(
@@ -121,6 +126,8 @@ class SweepRequest:
         lives on the configs themselves.
         """
         configs = list(configs)
+        if isinstance(fault_profile, str):
+            FaultProfile.parse(fault_profile)  # a bad spec fails before any cell runs
         if fidelity is not None:
             configs = [
                 config if config.fidelity == fidelity else config.with_(fidelity=fidelity)

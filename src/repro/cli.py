@@ -92,14 +92,16 @@ def _scenario_from(args):
 
 
 def cmd_localize(args):
+    injector = None
     try:
         config = _scenario_from(args)
+        if args.max_retries < 0:
+            raise ValueError(f"--max-retries must be >= 0, got {args.max_retries}")
+        if args.fault_profile and args.fault_profile != "none":
+            injector = FaultInjector.from_spec(args.fault_profile, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    injector = None
-    if args.fault_profile and args.fault_profile != "none":
-        injector = FaultInjector.from_spec(args.fault_profile, seed=args.seed)
     localizer = WeHeYLocalizer(
         np.random.default_rng(args.seed),
         default_tdiff(),
@@ -241,22 +243,12 @@ def cmd_sweep(args):
 
     detector = {"loss_trend": LossTrendCorrelation()}
     common_exists = args.limiter in ("common", "perflow")
-    try:
-        configs = list(seed_sweep(_scenario_from(args), range(args.seeds)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     fault_profile = (
         args.fault_profile
         if getattr(args, "fault_profile", "none") not in (None, "none")
         else None
     )
-    store = None
-    if args.store:
-        from repro.store import ExperimentStore
-
-        store = ExperimentStore(args.store)
-    elif args.resume or args.no_cache:
+    if (args.resume or args.no_cache) and not args.store:
         print("--resume/--no-cache require --store DIR", file=sys.stderr)
         return 2
     # argparse: flag absent -> None (off); bare --metrics -> "" (collect
@@ -265,20 +257,28 @@ def cmd_sweep(args):
     if args.metrics is not None:
         metrics = args.metrics if args.metrics else True
     try:
-        result = run_sweep(
-            SweepRequest.detection(
-                configs,
-                detectors=detector,
-                fault_profile=fault_profile,
-                jobs=args.jobs,
-                store=store,
-                no_cache=args.no_cache,
-                metrics=metrics,
-                cell_timeout=args.cell_timeout,
-                max_cell_retries=args.max_cell_retries,
-                strict=args.strict,
-            )
+        request = SweepRequest.detection(
+            seed_sweep(_scenario_from(args), range(args.seeds)),
+            detectors=detector,
+            fault_profile=fault_profile,
+            jobs=args.jobs,
+            no_cache=args.no_cache,
+            metrics=metrics,
+            cell_timeout=args.cell_timeout,
+            max_cell_retries=args.max_cell_retries,
+            strict=args.strict,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    store = None
+    if args.store:
+        from repro.store import ExperimentStore
+
+        store = ExperimentStore(args.store)
+        request = dataclasses.replace(request, store=store)
+    try:
+        result = run_sweep(request)
     except SweepCellError as exc:
         # --strict: the first quarantine-worthy cell aborts the sweep.
         print(f"sweep aborted (--strict): {exc}", file=sys.stderr)

@@ -48,6 +48,12 @@ import numpy as np
 #: Rows an ``extend`` takes from its input, schema-checks and appends at a time.
 CHUNK_ROWS = 4096
 
+#: An integer column codes by a presence table over its value span when
+#: that span is at most this many values per row, else by ``np.unique``.
+#: At the bound the table and its ranks take about the bytes the sort's
+#: temporaries do.
+SPAN_PER_ROW = 4
+
 
 class DictColumn:
     """A dictionary-encoded column: sorted unique values + row codes.
@@ -166,6 +172,34 @@ def _string_codes(values):
     return np.array(keys), codes
 
 
+def _span_codes(arr):
+    """``(values, codes)`` of an integer array by a presence table over
+    its value span, or None: a non-integer or empty array, or one whose
+    span exceeds :data:`SPAN_PER_ROW` values per row.
+
+    Each row marks its offset from the minimum, and a cumulative sum
+    over the marks ranks them: linear in rows plus span, where
+    ``np.unique`` sorts every row, and the same arrays, dtypes included.
+    The offsets are taken in ``intp``, where a span that fits cannot
+    wrap (a ``uint64`` column's cast wraps both operands alike), and
+    are the one row-size temporary.
+    """
+    if arr.dtype.kind not in "iu" or not len(arr):
+        return None
+    low = arr.min()
+    span = int(arr.max()) - int(low) + 1
+    if span > SPAN_PER_ROW * len(arr):
+        return None
+    offsets = np.subtract(arr, low, dtype=np.intp, casting="unsafe")
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    rank = present.cumsum()
+    rank -= 1
+    values = np.flatnonzero(present).astype(arr.dtype)
+    values += low
+    return values, rank[offsets]
+
+
 def dictionary_codes(values):
     """``(values, codes)`` of a column: its sorted unique non-None values
     and one index into them per row, ``None`` as -1 (a
@@ -177,6 +211,9 @@ def dictionary_codes(values):
         return encoded
     arr = _native(values)
     if arr.dtype != object:
+        encoded = _span_codes(arr)
+        if encoded is not None:
+            return encoded
         uniques, codes = np.unique(arr, return_inverse=True)
         return uniques, codes.astype(np.intp, copy=False)
     present = np.not_equal(arr, None)

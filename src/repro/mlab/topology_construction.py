@@ -20,6 +20,8 @@ Filters (both applied before the pair search):
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +43,12 @@ def prefix_of(ip, length=24):
     return ".".join(parts[:keep] + ["0"] * (4 - keep)) + f"/{length}"
 
 
-@dataclass(frozen=True)
-class SuitableTopology:
-    """One usable server pair for a destination."""
+class SuitableTopology(NamedTuple):
+    """One usable server pair for a destination.
+
+    A tuple, so a million-row build makes each entry in one C call; it
+    also compares equal to a plain tuple of the same values.
+    """
 
     destination_prefix: str
     destination_asn: int
@@ -172,6 +177,8 @@ def construct(traceroutes, annotations):
     destination IPs with a traceroute that passes filters (a) and (b),
     each once, in first-seen order.
     """
+    from repro.inet.coltable import dictionary_codes  # repro.inet imports this module
+
     annotated = traceroutes.join_table(annotations, on="hop_ip", how="left")
     destination_side = annotations.renamed(
         {
@@ -241,17 +248,28 @@ def construct(traceroutes, annotations):
     ])
     winners = winners[np.argsort(dests[winners], kind="stable")]
 
-    # Decode only what the database keeps: one key per destination, and
-    # a server pair and candidate tuple per winner.  These objects hold
-    # no cycles, so the collector is paused while they are built: its
-    # passes over the growing heap would cost about as much again.
+    # Decode only what the database keeps: one prefix per destination,
+    # one tuple per distinct server pair, and a candidate tuple and an
+    # entry per winner, whose fields are gathered by array index.  These
+    # objects hold no cycles, so the collector is paused while they are
+    # built: its passes over the growing heap would cost about as much
+    # again.
     with _collector_paused():
         ip_values = np.array(ips.tolist() + [None], dtype=object)  # -1: None
-        server_values = np.array(servers.tolist(), dtype=object)
         complete = ip_values[record_destinations[dest_records]].tolist()
-        keys = [
-            (prefix_of(ip), asn) for ip, asn in zip(complete, asns[dest_asns].tolist())
-        ]
+        prefixes = np.array(list(map(prefix_of, complete)), dtype=object)
+        winner_dests = dests[winners]
+        pairs, winner_pairs = dictionary_codes(
+            lows[winners] * len(servers) + highs[winners]
+        )
+        server_pairs = np.fromiter(
+            zip(
+                servers[pairs // len(servers)].tolist(),
+                servers[pairs % len(servers)].tolist(),
+            ),
+            dtype=object,
+            count=len(pairs),
+        )
         # The winners' shared IPs, back to back; winner k's are
         # candidates[bounds[k]:bounds[k + 1]].
         starts, ends = starts[winners], ends[winners]
@@ -259,21 +277,20 @@ def construct(traceroutes, annotations):
         flat = np.repeat(starts - bounds[:-1], ends - starts) + np.arange(bounds[-1])
         candidates = ip_values[shared_ips[flat]].tolist()
         bounds = bounds.tolist()
-        winner_dests = dests[winners].tolist()
         topologies = list(
             map(
-                SuitableTopology,
-                [keys[dest][0] for dest in winner_dests],
-                [keys[dest][1] for dest in winner_dests],
+                tuple.__new__,  # SuitableTopology._make, less its length check
+                repeat(SuitableTopology),
                 zip(
-                    server_values[lows[winners]].tolist(),
-                    server_values[highs[winners]].tolist(),
+                    prefixes[winner_dests].tolist(),
+                    asns[dest_asns[winner_dests]].tolist(),
+                    server_pairs[winner_pairs].tolist(),
+                    [tuple(candidates[a:b]) for a, b in zip(bounds[:-1], bounds[1:])],
                 ),
-                [tuple(candidates[a:b]) for a, b in zip(bounds[:-1], bounds[1:])],
             )
         )
-        for start, end in zip(*(run.tolist() for run in _runs(dests[winners]))):
-            database.extend(keys[winner_dests[start]], topologies[start:end])
+        for start, end in zip(*(run.tolist() for run in _runs(winner_dests))):
+            database.extend(topologies[start][:2], topologies[start:end])
     return database, complete
 
 

@@ -27,13 +27,42 @@ class TestSweepRequest:
             SweepRequest(kind="detection", on_result="not callable")
 
     def test_constructors_set_kind(self):
-        assert SweepRequest.detection([]).kind == "detection"
+        assert SweepRequest.detection(_configs()).kind == "detection"
         assert SweepRequest.wild().kind == "wild"
 
     def test_requests_are_frozen(self):
-        request = SweepRequest.detection([])
+        request = SweepRequest.detection(_configs())
         with pytest.raises(AttributeError):
             request.jobs = 4
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SweepRequest.detection([]),
+            lambda: SweepRequest.wild(seeds=()),
+            lambda: SweepRequest.wild(isp_names=[]),
+        ],
+    )
+    def test_a_sweep_without_cells_is_rejected(self, build):
+        with pytest.raises(ValueError, match="at least one cell"):
+            build()
+
+    @pytest.mark.parametrize("jobs", [0, -3, float("nan")])
+    def test_jobs_below_one_are_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            SweepRequest.detection(_configs(), jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            SweepRequest.wild(jobs=jobs)
+
+    def test_jobs_default_and_positive_counts_construct(self):
+        assert SweepRequest.detection(_configs()).jobs is None
+        assert SweepRequest.detection(_configs(), jobs=1).jobs == 1
+        assert SweepRequest.wild(jobs=4).jobs == 4
+
+    @pytest.mark.parametrize("spec", ["replay_abort=2", "replay_abort=nan", "solar_flare=1"])
+    def test_bad_fault_spec_is_rejected_at_construction(self, spec):
+        with pytest.raises(ValueError):
+            SweepRequest.detection(_configs(), fault_profile=spec)
 
     def test_detection_fidelity_overrides_every_config(self):
         request = SweepRequest.detection(_configs(), fidelity="hybrid")

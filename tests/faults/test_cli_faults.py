@@ -1,7 +1,5 @@
 """CLI surface of the fault-injection subsystem."""
 
-import pytest
-
 from repro.cli import build_parser, main
 
 
@@ -42,9 +40,9 @@ class TestLocalizeWithFaults:
         assert "attempt 1/3" in out
         assert "outcome" in out
 
-    def test_bad_fault_spec_errors(self):
-        with pytest.raises(ValueError):
-            main(
-                ["localize", "--duration", "5",
-                 "--fault-profile", "solar_flare=1.0"]
-            )
+    def test_bad_fault_spec_errors(self, capsys):
+        code = main(
+            ["localize", "--duration", "5", "--fault-profile", "solar_flare=1.0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown fault site")

@@ -272,6 +272,67 @@ def test_encoding_matches_np_unique(values):
 
 
 
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _assert_unique_codes(arr):
+    expected_values, expected_codes = np.unique(arr, return_inverse=True)
+    values, codes = dictionary_codes(arr)
+    assert values.dtype == expected_values.dtype
+    assert values.tolist() == expected_values.tolist()
+    assert codes.dtype == np.intp
+    assert codes.tolist() == expected_codes.tolist()
+
+
+@st.composite
+def integer_columns(draw):
+    """An integer array whose span sits on either side of the bound."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    info = np.iinfo(dtype)
+    rows = draw(st.integers(1, 60))
+    bound = coltable.SPAN_PER_ROW * rows
+    span = draw(st.sampled_from([1, bound, bound + 1, draw(st.integers(1, 3 * bound))]))
+    span = min(span, int(info.max) - int(info.min) + 1)
+    low = draw(st.integers(int(info.min), int(info.max) - span + 1))
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=rows, max_size=rows))
+    offsets[0], offsets[-1] = 0, span - 1  # the drawn span is the column's
+    return np.array([low + offset for offset in offsets], dtype=dtype)
+
+
+@given(integer_columns())
+def test_integer_codes_match_np_unique(arr):
+    _assert_unique_codes(arr)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.arange(-128, 128, dtype=np.int8),
+        np.array([2**64 - 1, 2**64 - 9, 2**64 - 5, 2**64 - 1], dtype=np.uint64),
+        np.array([2**63 + 3, 2**63 - 3, 2**63], dtype=np.uint64),
+        np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64),
+        np.full(5, 7, dtype=np.int32),
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.uint8),
+    ],
+    ids=["int8-full", "uint64-top", "uint64-mid", "int64-full", "one-value", "empty", "empty-uint8"],
+)
+def test_integer_edge_codes_match_np_unique(arr):
+    _assert_unique_codes(arr)
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_presence_table_codes_spans_up_to_the_bound(dtype):
+    rows = 10
+    span = coltable.SPAN_PER_ROW * rows
+    inside = np.array([0, span - 1] + [3] * (rows - 2), dtype=dtype)
+    outside = np.array([0, span] + [3] * (rows - 2), dtype=dtype)
+    assert coltable._span_codes(inside) is not None
+    assert coltable._span_codes(outside) is None
+    for arr in (inside, outside):
+        _assert_unique_codes(arr)
+
+
 @given(
     STRINGS,
     st.lists(st.one_of(STRINGS, st.lists(st.integers(-3, 3), max_size=2)), min_size=1, max_size=40)

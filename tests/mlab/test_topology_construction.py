@@ -238,3 +238,47 @@ class TestCoverage:
             "complete_fraction": 0.5,
             "suitable_fraction": 1.0,
         }
+
+
+class TestSuitableTopologyContract:
+    """What every consumer of a database entry relies on."""
+
+    ENTRY = ("10.1.2.0/24", 64512, ("mlab1-lax", "mlab2-nyc"), ("10.1.0.1", "10.1.0.9"))
+
+    def test_fields_in_order(self):
+        entry = SuitableTopology(*self.ENTRY)
+        assert (
+            entry.destination_prefix,
+            entry.destination_asn,
+            entry.server_pair,
+            entry.common_candidates,
+        ) == self.ENTRY
+
+    def test_repr(self):
+        assert repr(SuitableTopology(*self.ENTRY)) == (
+            "SuitableTopology(destination_prefix='10.1.2.0/24', "
+            "destination_asn=64512, server_pair=('mlab1-lax', 'mlab2-nyc'), "
+            "common_candidates=('10.1.0.1', '10.1.0.9'))"
+        )
+
+    def test_equal_entries_hash_alike(self):
+        entry, twin = SuitableTopology(*self.ENTRY), SuitableTopology(*self.ENTRY)
+        assert entry == twin and entry is not twin
+        assert hash(entry) == hash(twin)
+        assert len({entry, twin}) == 1
+        assert entry != SuitableTopology(*self.ENTRY[:3], ())
+
+    @pytest.mark.parametrize("name", ["destination_prefix", "server_pair", "anything"])
+    def test_assignment_raises(self, name):
+        entry = SuitableTopology(*self.ENTRY)
+        with pytest.raises(AttributeError):
+            setattr(entry, name, None)
+        assert entry == SuitableTopology(*self.ENTRY)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        entry = SuitableTopology(*self.ENTRY)
+        copy = pickle.loads(pickle.dumps(entry))
+        assert type(copy) is SuitableTopology
+        assert copy == entry and hash(copy) == hash(entry)

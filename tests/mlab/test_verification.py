@@ -54,9 +54,7 @@ class TestTopologyVerifier:
 
     def test_unknown_server_fails_closed(self, setup):
         internet, annotations, rng, client, entry, _database = setup
-        from dataclasses import replace
-
-        broken = replace(entry, server_pair=("ghost-1", "ghost-2"))
+        broken = entry._replace(server_pair=("ghost-1", "ghost-2"))
         verifier = TopologyVerifier(internet, annotations, rng)
         assert not verifier.verify(broken, client.name)
 
